@@ -78,13 +78,16 @@ def haversine_km(a: GeoPoint, b: GeoPoint, earth: EarthModel = EARTH) -> float:
     return 2.0 * earth.radius_km * math.asin(min(1.0, math.sqrt(s)))
 
 
+# Half a degree in radians. np.radians(x) / 2 == x * _HALF_RADIAN bit for bit:
+# np.radians multiplies by the same rounded pi / 180, and halving is exact.
+_HALF_RADIAN = np.radians(1.0) / 2.0
+
+
 def haversine_km_arrays(lat1, lon1, lat2, lon2, earth: EarthModel = EARTH) -> np.ndarray:
     """Vectorized haversine over degree arrays; broadcasts like numpy."""
-    phi1 = np.radians(lat1)
-    phi2 = np.radians(lat2)
-    dphi = np.radians(np.subtract(lat2, lat1))
-    dlam = np.radians(np.subtract(lon2, lon1))
-    s = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
+    half_dphi = np.subtract(lat2, lat1) * _HALF_RADIAN
+    half_dlam = np.subtract(lon2, lon1) * _HALF_RADIAN
+    s = np.sin(half_dphi) ** 2 + np.cos(np.radians(lat1)) * np.cos(np.radians(lat2)) * np.sin(half_dlam) ** 2
     return 2.0 * earth.radius_km * np.arcsin(np.minimum(1.0, np.sqrt(s)))
 
 

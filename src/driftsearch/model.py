@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .geo import EARTH, EarthModel, GeoPoint, haversine_km
 from .scenario import SearchArea
 
@@ -14,16 +16,21 @@ MIN_DETECTION_RADIUS_M = 200.0
 RADIUS_SLOPE_M_PER_KM = -200.0
 
 
-def detection_radius_m(uav_pos: GeoPoint, center: GeoPoint, earth: EarthModel = EARTH) -> float:
-    """Effective detection radius for a UAV placed at `uav_pos`.
+def radius_law(d_km):
+    """Detection radius in meters at haversine distance `d_km` from the center.
 
-    Linear in the haversine distance d (km) to the deployment center:
-    600 m at the center, down to 200 m at d = 2 km, clamped to [200, 600]
-    beyond that (the raw line would go negative for distant placements).
+    Linear: 600 m at the center, down to 200 m at d = 2 km, clamped to
+    [200, 600] beyond that (the raw line would go negative for distant
+    placements). Vectorized over numpy arrays.
     """
-    d = haversine_km(uav_pos, center, earth)
-    raw = RADIUS_SLOPE_M_PER_KM * d + MAX_DETECTION_RADIUS_M
-    return min(MAX_DETECTION_RADIUS_M, max(MIN_DETECTION_RADIUS_M, raw))
+    raw = RADIUS_SLOPE_M_PER_KM * d_km + MAX_DETECTION_RADIUS_M
+    # min(max(.)) is what np.clip computes, without its Python-level dispatch.
+    return np.minimum(np.maximum(raw, MIN_DETECTION_RADIUS_M), MAX_DETECTION_RADIUS_M)
+
+
+def detection_radius_m(uav_pos: GeoPoint, center: GeoPoint, earth: EarthModel = EARTH) -> float:
+    """Effective detection radius for a UAV placed at `uav_pos` (see :func:`radius_law`)."""
+    return float(radius_law(haversine_km(uav_pos, center, earth)))
 
 
 def detection_pod(radius_m: float) -> float:

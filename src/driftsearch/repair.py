@@ -8,8 +8,10 @@ Two concerns are enforced on any candidate deployment:
    repulsive forces, re-clamping to the boundary after every move).
 
 Forces are plain vectors in the local tangent plane anchored at the search
-center; distances and overlap tests use haversine. Boundary feasibility is
-always guaranteed on return; overlap freedom only within the iteration cap.
+center; distances and overlap tests use haversine. Overlap freedom holds only
+within the iteration cap. Boundary feasibility holds only up to rounding: the
+projection stops after four radial scalings, and a UAV that the last one
+moved can remain outside the area by about 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -17,16 +19,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .geo import EARTH, EarthModel, GeoPoint, haversine_km_arrays, latlon_to_local, local_to_latlon
-from .model import (
-    MAX_DETECTION_RADIUS_M,
-    MIN_DETECTION_RADIUS_M,
-    RADIUS_SLOPE_M_PER_KM,
-    Deployment,
-)
+from .model import Deployment, radius_law
 
 # Fixed seed for the tie-break jitter applied to exactly coincident UAVs;
 # a constant keeps repair a pure function of its inputs.
@@ -49,18 +47,37 @@ class RepairConfig:
             raise ValueError("overlap_tolerance_m must be non-negative")
 
 
-def _radii_km(dist_center_km: np.ndarray) -> np.ndarray:
-    raw = RADIUS_SLOPE_M_PER_KM * dist_center_km + MAX_DETECTION_RADIUS_M
-    return np.clip(raw, MIN_DETECTION_RADIUS_M, MAX_DETECTION_RADIUS_M) / 1000.0
+@lru_cache(maxsize=64)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of the pairs (i < j) in row-major order (shared, read-only)."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
-def _geometry(coords_km: np.ndarray, center: GeoPoint, earth: EarthModel):
-    """Per-UAV lat/lon, distance to center, radii, and pairwise distances."""
-    lat, lon = local_to_latlon(coords_km[:, 0], coords_km[:, 1], center, earth)
-    d_center = haversine_km_arrays(lat, lon, center.lat, center.lon, earth)
-    radii = _radii_km(d_center)
-    pairwise = haversine_km_arrays(lat[:, None], lon[:, None], lat[None, :], lon[None, :], earth)
-    return d_center, radii, pairwise
+def _distances(lat: np.ndarray, lon: np.ndarray, earth: EarthModel):
+    """Distances from the first n points to the last one, the center (n,), and
+    between the first n (n, n), from one haversine call."""
+    d = haversine_km_arrays(lat[:-1, None], lon[:-1, None], lat, lon, earth)
+    return d[:, -1], d[:, :-1]
+
+
+def _geometry(padded_km: np.ndarray, center: GeoPoint, earth: EarthModel):
+    """:func:`_distances` of local-plane UAV rows followed by a zero row.
+
+    The zero row maps to the center's exact lat/lon, so the hot path needs no
+    append.
+    """
+    lat, lon = local_to_latlon(padded_km[:, 0], padded_km[:, 1], center, earth)
+    return _distances(lat, lon, earth)
+
+
+def _overlaps(radii_km: np.ndarray, pairwise_km: np.ndarray, overlap_tolerance_km: float):
+    """Over the pairs (i < j) in row-major order: i, j, distance, radius sum, overlap mask."""
+    i, j = _upper_pairs(len(radii_km))
+    d = pairwise_km[i, j]
+    d_min = radii_km[i] + radii_km[j]
+    return i, j, d, d_min, d < d_min - overlap_tolerance_km
 
 
 def pairwise_repulsion(
@@ -72,57 +89,59 @@ def pairwise_repulsion(
     """Accumulate the repulsive forces of every overlapping pair (i < j).
 
     Returns (forces, interaction_counts, any_overlap). Forces obey Newton-pair
-    symmetry: before normalization they sum to the zero vector.
+    symmetry: before normalization they sum to the zero vector. A coincident
+    pair (distance 0) counts as an overlap but exerts no force.
     """
     n = len(coords_km)
     forces = np.zeros((n, 2))
-    counts = np.zeros(n, dtype=int)
-    any_overlap = False
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = pairwise_km[i, j]
-            d_min = radii_km[i] + radii_km[j]
-            if d < d_min - overlap_tolerance_km:
-                any_overlap = True
-                if d > 0:
-                    f = (d_min / d) * (coords_km[j] - coords_km[i])
-                    forces[i] -= f
-                    forces[j] += f
-                    counts[i] += 1
-                    counts[j] += 1
-    return forces, counts, any_overlap
+    i, j, d, d_min, overlap = _overlaps(radii_km, pairwise_km, overlap_tolerance_km)
+    if not np.count_nonzero(overlap):
+        return forces, np.zeros(n, dtype=int), False
+    push = overlap & (d > 0)
+    i, j = i[push], j[push]
+    f = (d_min[push] / d[push])[:, None] * (coords_km[j] - coords_km[i])
+    # In row-major pair order every pair (k, r) with k < r precedes every pair
+    # (r, k'), so adding all "+f" terms and then subtracting all "-f" terms
+    # accumulates each row in the same sequence as a pair-by-pair loop.
+    np.add.at(forces, j, f)
+    np.subtract.at(forces, i, f)
+    counts = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+    return forces, counts, True
 
 
-def _clamp_to_boundary(
-    coords_km: np.ndarray, radius_km: float, center: GeoPoint, earth: EarthModel
-) -> np.ndarray:
-    """Project any out-of-area UAV onto the boundary circle (in place)."""
+def _clamp_to_boundary(padded_km: np.ndarray, radius_km: float, center: GeoPoint, earth: EarthModel):
+    """Project any out-of-area UAV onto the boundary circle (in place).
+
+    `padded_km` holds the UAV rows followed by a zero row for the center (see
+    :func:`_geometry`). Up to four rounds of radial scaling. Returns the
+    (center, pairwise) distances of the final coordinates, or None when the
+    last round still moved a UAV; such a UAV may remain outside by a few ulps.
+    """
+    coords_km = padded_km[:-1]
     for _ in range(4):
-        lat, lon = local_to_latlon(coords_km[:, 0], coords_km[:, 1], center, earth)
-        d = haversine_km_arrays(lat, lon, center.lat, center.lon, earth)
-        outside = d > radius_km
-        if not outside.any():
-            break
-        scale = np.ones_like(d)
-        scale[outside] = radius_km / d[outside]
-        coords_km *= scale[:, None]
-    return coords_km
+        d, pairwise = _geometry(padded_km, center, earth)
+        if not np.count_nonzero(d > radius_km):
+            return d, pairwise
+        # Outside: radius / d. Inside (or NaN): radius / radius, exactly 1.
+        coords_km *= (radius_km / np.fmax(d, radius_km))[:, None]
+    return None
 
 
-def _separate_coincident(coords_km: np.ndarray, pairwise_km: np.ndarray, rng: random.Random) -> bool:
+def _separate_coincident(
+    coords_km: np.ndarray, candidates: tuple[np.ndarray, np.ndarray], rng: random.Random
+) -> bool:
     """Nudge the higher-index UAV of each exactly coincident pair by 1 m.
 
+    `candidates` are the pairs (i < j), in row-major order, at distance 0.
     Coincident pairs receive no repulsive force (the direction is undefined)
     and would otherwise deadlock.
     """
     moved = False
-    n = len(coords_km)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pairwise_km[i, j] == 0.0 and np.array_equal(coords_km[i], coords_km[j]):
-                angle = rng.uniform(0.0, 2.0 * math.pi)
-                coords_km[j] += _JITTER_KM * np.array([math.cos(angle), math.sin(angle)])
-                moved = True
+    for i, j in zip(*candidates):
+        if np.array_equal(coords_km[i], coords_km[j]):
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            coords_km[j] += _JITTER_KM * np.array([math.cos(angle), math.sin(angle)])
+            moved = True
     return moved
 
 
@@ -137,24 +156,35 @@ def repair_coords(
 
     Returns a new array; the input is not modified.
     """
-    coords = np.array(coords_km, dtype=float)
+    if not area_radius_km > 0:
+        raise ValueError(f"area radius must be positive, got {area_radius_km}")
+    n = len(coords_km)
+    padded = np.zeros((n + 1, 2))
+    coords = padded[:n]
+    coords[:] = coords_km
     tol_km = config.overlap_tolerance_m / 1000.0
-    rng = random.Random(_JITTER_SEED)
+    upper_i, upper_j = _upper_pairs(n)
+    rng = None  # the jitter stream starts at the first coincident pair
 
     # Phase 1: boundary correction via linear interpolation toward the center.
-    _clamp_to_boundary(coords, area_radius_km, center, earth)
+    geometry = _clamp_to_boundary(padded, area_radius_km, center, earth)
 
     # Phases 2-3: repulsive forces, then boundary clamping, until no overlap.
     for _ in range(config.max_iter):
-        _, radii, pairwise = _geometry(coords, center, earth)
-        if _separate_coincident(coords, pairwise, rng):
-            _, radii, pairwise = _geometry(coords, center, earth)
-        forces, counts, any_overlap = pairwise_repulsion(coords, radii, pairwise, tol_km)
+        d_center, pairwise = geometry if geometry is not None else _geometry(padded, center, earth)
+        zero = pairwise[upper_i, upper_j] == 0.0
+        if np.count_nonzero(zero):
+            if rng is None:
+                rng = random.Random(_JITTER_SEED)
+            if _separate_coincident(coords, (upper_i[zero], upper_j[zero]), rng):
+                d_center, pairwise = _geometry(padded, center, earth)
+        radii_km = radius_law(d_center) / 1000.0
+        forces, counts, any_overlap = pairwise_repulsion(coords, radii_km, pairwise, tol_km)
         if not any_overlap:
             break
         active = counts > 0
         coords[active] += config.alpha_r * forces[active] / counts[active, None]
-        _clamp_to_boundary(coords, area_radius_km, center, earth)
+        geometry = _clamp_to_boundary(padded, area_radius_km, center, earth)
     return coords
 
 
@@ -162,24 +192,18 @@ def _is_feasible(deployment: Deployment, config: RepairConfig, earth: EarthModel
     center = deployment.area.center
     lat = np.array([u.position.lat for u in deployment.uavs])
     lon = np.array([u.position.lon for u in deployment.uavs])
-    d_center = haversine_km_arrays(lat, lon, center.lat, center.lon, earth)
+    d_center, pairwise = _distances(np.append(lat, center.lat), np.append(lon, center.lon), earth)
     if (d_center > deployment.area.radius_km).any():
         return False
     radii = np.array([u.detection_radius_m for u in deployment.uavs]) / 1000.0
-    pairwise = haversine_km_arrays(lat[:, None], lon[:, None], lat[None, :], lon[None, :], earth)
-    tol_km = config.overlap_tolerance_m / 1000.0
-    n = len(deployment)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pairwise[i, j] < radii[i] + radii[j] - tol_km:
-                return False
-    return True
+    overlap = _overlaps(radii, pairwise, config.overlap_tolerance_m / 1000.0)[-1]
+    return not overlap.any()
 
 
 def repair(
     deployment: Deployment, config: RepairConfig = RepairConfig(), earth: EarthModel = EARTH
 ) -> Deployment:
-    """Return a boundary-feasible version of `deployment`.
+    """Return a repaired version of `deployment` (see the module notes on feasibility).
 
     An already-feasible deployment is returned unchanged (exact identity, no
     projection round-trip). Detection radii are recomputed from the final

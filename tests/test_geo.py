@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftsearch.geo import (
     EARTH,
@@ -180,3 +182,32 @@ class TestProjectToCircle:
         v = to_local(q, self.CENTER)
         # Same bearing as the original offset (atan2 of a positive scalar multiple).
         assert math.atan2(v.north_m, v.east_m) == pytest.approx(math.atan2(6000.0, 8000.0), abs=1e-9)
+
+
+def seed_haversine_km(lat1, lon1, lat2, lon2, radius_km=6371.0):
+    """The haversine formula exactly as first written, kept as an oracle."""
+    phi1 = np.radians(lat1)
+    phi2 = np.radians(lat2)
+    dphi = np.radians(np.subtract(lat2, lat1))
+    dlam = np.radians(np.subtract(lon2, lon1))
+    s = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
+    return 2.0 * radius_km * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+
+
+class TestHaversineArraysBitForBit:
+    """haversine_km_arrays folds radians(x) / 2 into one product; nothing may change."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-9, 1e-4, 0.01, 1.0, 90.0, 400.0]))
+    def test_equals_seed_formula(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        lat1, lon1, lat2, lon2 = rng.uniform(-scale, scale, size=(4, 50)) + rng.uniform(-60, 60, size=(4, 1))
+        assert np.array_equal(haversine_km_arrays(lat1, lon1, lat2, lon2), seed_haversine_km(lat1, lon1, lat2, lon2))
+        # Broadcast and scalar forms, as the fitness and repair kernels call it.
+        assert np.array_equal(
+            haversine_km_arrays(lat1[:8, None], lon1[:8, None], lat2, lon2),
+            seed_haversine_km(lat1[:8, None], lon1[:8, None], lat2, lon2),
+        )
+        assert haversine_km_arrays(lat1[0], lon1[0], lat2[0], lon2[0]) == seed_haversine_km(
+            lat1[0], lon1[0], lat2[0], lon2[0]
+        )

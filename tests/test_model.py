@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from driftsearch.geo import EARTH, GeoPoint, LocalVector, from_local
+from driftsearch.geo import EARTH, GeoPoint, LocalVector, from_local, haversine_km
 from driftsearch.model import (
     MAX_DETECTION_RADIUS_M,
     MIN_DETECTION_RADIUS_M,
@@ -13,6 +14,7 @@ from driftsearch.model import (
     covers,
     detection_pod,
     detection_radius_m,
+    radius_law,
 )
 from driftsearch.scenario import SearchArea
 
@@ -21,6 +23,17 @@ CENTER = GeoPoint(34.0, 127.0)
 
 def at_distance_km(d_km: float, angle: float = 0.3) -> GeoPoint:
     return from_local(LocalVector(d_km * 1000.0 * math.cos(angle), d_km * 1000.0 * math.sin(angle)), CENTER)
+
+
+class TestRadiusLaw:
+    def test_vectorized_matches_the_clipped_line(self):
+        d_km = np.array([0.0, 0.25, 1.0, 1.999, 2.0, 2.001, 5.0, 1e6])
+        expected = np.clip(-200.0 * d_km + 600.0, 200.0, 600.0)
+        assert np.array_equal(radius_law(d_km), expected)
+
+    def test_scalar_radius_uses_the_law(self):
+        p = at_distance_km(0.7)
+        assert detection_radius_m(p, CENTER) == radius_law(haversine_km(p, CENTER))
 
 
 class TestDetectionRadius:

@@ -1,10 +1,14 @@
 """Fitness counting, budget accounting, and the four search strategies."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftsearch.forecast import Forecast
-from driftsearch.geo import GeoPoint, haversine_km
+from driftsearch.geo import EARTH, GeoPoint, LocalVector, from_local, haversine_km, local_to_latlon
 from driftsearch.ingest import AccidentSpec, synthesize_track
 from driftsearch.optimize import (
     FitnessEvaluator,
@@ -14,7 +18,7 @@ from driftsearch.optimize import (
     initialize,
     run,
 )
-from driftsearch.scenario import build_scenario
+from driftsearch.scenario import CandidateLine, Particle, Scenario, SearchArea, build_scenario
 
 
 def small_scenario(k=8, seed=3, error_km=0.6):
@@ -131,3 +135,97 @@ class TestRepairedAlgorithmsRespectOverlap:
             for j in range(i + 1, len(uavs)):
                 d_m = haversine_km(uavs[i].position, uavs[j].position) * 1000.0
                 assert d_m >= uavs[i].detection_radius_m + uavs[j].detection_radius_m - 1e-6
+
+
+# --- Pruned fitness kernel against the dense distance matrix -----------------
+
+
+def seed_haversine_km(lat1, lon1, lat2, lon2, radius_km=6371.0):
+    """The haversine formula exactly as first written, kept as an oracle."""
+    phi1 = np.radians(lat1)
+    phi2 = np.radians(lat2)
+    dphi = np.radians(np.subtract(lat2, lat1))
+    dlam = np.radians(np.subtract(lon2, lon1))
+    s = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
+    return 2.0 * radius_km * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+
+
+def dense_detected(ev: FitnessEvaluator, coords_km: np.ndarray) -> int:
+    """Every UAV against every midpoint: the kernel the pruned one replaces."""
+    lat, lon = local_to_latlon(coords_km[:, 0], coords_km[:, 1], ev.center, ev.earth)
+    d_center = seed_haversine_km(lat, lon, ev.center.lat, ev.center.lon)
+    radii_m = np.clip(-200.0 * d_center + 600.0, 200.0, 600.0)
+    dist_m = seed_haversine_km(lat[:, None], lon[:, None], ev.mid_lat[None, :], ev.mid_lon[None, :]) * 1000.0
+    return int((dist_m < radii_m[:, None]).any(axis=0).sum())
+
+
+def fan_scenario(center: GeoPoint, ends_km, accident_km=(0.5, -0.8), radius_km=3.0) -> Scenario:
+    """Candidate lines from one accident point to particles at local offsets (km)."""
+    accident = from_local(LocalVector(accident_km[0] * 1000.0, accident_km[1] * 1000.0), center)
+    particles = tuple(Particle(from_local(LocalVector(e * 1000.0, n * 1000.0), center)) for e, n in ends_km)
+    lines = tuple(
+        CandidateLine(accident, p.position, haversine_km(accident, p.position)) for p in particles
+    )
+    return Scenario(accident, SearchArea(center, radius_km), particles, lines, 1.0)
+
+
+offsets_km = st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+
+
+class TestPrunedFitness:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lat=st.floats(0.0, 80.0),
+        lon=st.one_of(st.floats(179.99, 180.0), st.floats(-180.0, -179.99)),
+        ends=st.lists(offsets_km, min_size=1, max_size=5),
+        unit_m=st.floats(25.0, 200.0),
+        n_uavs=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_oracle_near_antimeridian(self, lat, lon, ends, unit_m, n_uavs, seed):
+        ev = FitnessEvaluator(fan_scenario(GeoPoint(lat, lon), ends), unit_m=unit_m)
+        rng = np.random.default_rng(seed)
+        for spread_km in (0.5, 3.0, 8.0):
+            coords = rng.normal(0.0, spread_km, size=(n_uavs, 2))
+            assert ev.evaluate_coords(coords).score == dense_detected(ev, coords)
+
+    def test_disc_edge_along_both_axes(self):
+        # A UAV at the center has a 600 m disc. One-segment lines from the
+        # center put their midpoints 1 cm inside and 1 cm outside its edge, to
+        # the north and to the east, where the pruning bounds are tight.
+        center = GeoPoint(60.0, 179.9995)
+        ends = [(0.0, 1.19998), (0.0, 1.20002), (1.19998, 0.0), (1.20002, 0.0)]
+        ev = FitnessEvaluator(fan_scenario(center, ends, accident_km=(0.0, 0.0)), unit_m=2000.0)
+        assert ev.total_segments == 4
+        coords = np.zeros((1, 2))
+        assert ev.evaluate_coords(coords).score == dense_detected(ev, coords) == 2
+
+    def test_longitude_differences_beyond_half_a_turn(self):
+        # One full parallel east of the center is the center again: the
+        # longitudes differ by 360 degrees, the haversine by nothing.
+        center = GeoPoint(80.0, 179.995)
+        ev = FitnessEvaluator(fan_scenario(center, [(0.3, 0.4), (-0.5, 0.2)]), unit_m=50.0)
+        turn_km = 2.0 * math.pi * EARTH.radius_km * math.cos(math.radians(center.lat))
+        coords = np.array([[turn_km, 0.0]])
+        assert ev.evaluate_coords(coords).score == dense_detected(ev, coords) > 0
+
+    def test_out_of_range_latitudes_fall_back_to_all_pairs(self):
+        ev = FitnessEvaluator(small_scenario(), unit_m=100.0)
+        # Mirrored through the pole: latitude 180 - lat at longitude lon + 180
+        # is the point (lat, lon) to the haversine formula; here one 100 m
+        # north of the center.
+        lat0, mpd_km = ev.center.lat, EARTH.meters_per_degree / 1000.0
+        north = (180.0 - 2.0 * lat0) * mpd_km - 0.1
+        east = 180.0 * math.cos(math.radians(lat0)) * mpd_km
+        for coords in (np.array([[east, north]]), np.array([[0.0, 0.0], [0.0, 1e5], [np.nan, 0.0]])):
+            with np.errstate(invalid="ignore"):  # NaN distances for the NaN and far rows
+                assert ev.evaluate_coords(coords).score == dense_detected(ev, coords) > 0
+
+    def test_prunes_most_pairs(self):
+        scen = small_scenario()
+        ev = FitnessEvaluator(scen, unit_m=100.0)
+        dep = initialize(8, scen.area, 0)
+        lat = np.array([u.position.lat for u in dep.uavs])
+        lon = np.array([u.position.lon for u in dep.uavs])
+        uav, _ = ev._pairs(lat, lon)
+        assert len(uav) < 8 + 8 * ev.total_segments / 2

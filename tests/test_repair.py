@@ -1,11 +1,14 @@
 """Boundary projection and repulsive-force overlap repair."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from driftsearch.geo import GeoPoint, haversine_km
+from driftsearch.geo import GeoPoint, haversine_km, local_to_latlon
 from driftsearch.model import Deployment
 from driftsearch.repair import RepairConfig, pairwise_repulsion, repair, repair_coords
 from driftsearch.scenario import SearchArea
@@ -146,3 +149,155 @@ class TestRepairDeployment:
                 assert haversine_km(uav.position, CENTER) <= 5.0 + 1e-9
             # 8 discs of <= 600 m radius pack easily into a 5 km circle.
             assert min_gap_m(fixed) >= -1e-6
+
+
+# --- Equivalence with the seed algorithm --------------------------------------
+#
+# A frozen copy of repair as first written: Python double loops over the pairs,
+# centre distances recomputed each iteration, two haversine calls per geometry.
+# The optimized repair_coords must return exactly the same array.
+
+
+def seed_haversine_km(lat1, lon1, lat2, lon2, radius_km=6371.0):
+    phi1 = np.radians(lat1)
+    phi2 = np.radians(lat2)
+    dphi = np.radians(np.subtract(lat2, lat1))
+    dlam = np.radians(np.subtract(lon2, lon1))
+    s = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
+    return 2.0 * radius_km * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+
+
+def seed_geometry(coords_km, center):
+    lat, lon = local_to_latlon(coords_km[:, 0], coords_km[:, 1], center)
+    d_center = seed_haversine_km(lat, lon, center.lat, center.lon)
+    radii = np.clip(-200.0 * d_center + 600.0, 200.0, 600.0) / 1000.0
+    pairwise = seed_haversine_km(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
+    return radii, pairwise
+
+
+def seed_pairwise_repulsion(coords_km, radii_km, pairwise_km, tol_km):
+    n = len(coords_km)
+    forces = np.zeros((n, 2))
+    counts = np.zeros(n, dtype=int)
+    any_overlap = False
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = pairwise_km[i, j]
+            d_min = radii_km[i] + radii_km[j]
+            if d < d_min - tol_km:
+                any_overlap = True
+                if d > 0:
+                    f = (d_min / d) * (coords_km[j] - coords_km[i])
+                    forces[i] -= f
+                    forces[j] += f
+                    counts[i] += 1
+                    counts[j] += 1
+    return forces, counts, any_overlap
+
+
+def seed_clamp(coords_km, radius_km, center):
+    for _ in range(4):
+        lat, lon = local_to_latlon(coords_km[:, 0], coords_km[:, 1], center)
+        d = seed_haversine_km(lat, lon, center.lat, center.lon)
+        outside = d > radius_km
+        if not outside.any():
+            break
+        scale = np.ones_like(d)
+        scale[outside] = radius_km / d[outside]
+        coords_km *= scale[:, None]
+
+
+def seed_separate_coincident(coords_km, pairwise_km, rng):
+    moved = False
+    n = len(coords_km)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if pairwise_km[i, j] == 0.0 and np.array_equal(coords_km[i], coords_km[j]):
+                angle = rng.uniform(0.0, 2.0 * math.pi)
+                coords_km[j] += 0.001 * np.array([math.cos(angle), math.sin(angle)])
+                moved = True
+    return moved
+
+
+def seed_repair_coords(coords_km, area_radius_km, center, config):
+    coords = np.array(coords_km, dtype=float)
+    tol_km = config.overlap_tolerance_m / 1000.0
+    rng = random.Random(0x5EED)
+    seed_clamp(coords, area_radius_km, center)
+    for _ in range(config.max_iter):
+        radii, pairwise = seed_geometry(coords, center)
+        if seed_separate_coincident(coords, pairwise, rng):
+            radii, pairwise = seed_geometry(coords, center)
+        forces, counts, any_overlap = seed_pairwise_repulsion(coords, radii, pairwise, tol_km)
+        if not any_overlap:
+            break
+        active = counts > 0
+        coords[active] += config.alpha_r * forces[active] / counts[active, None]
+        seed_clamp(coords, area_radius_km, center)
+    return coords
+
+
+@st.composite
+def repair_inputs(draw):
+    n = draw(st.integers(1, 10))
+    radius_km = draw(st.sampled_from([0.3, 0.8, 2.0, 4.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0.2, 1.0, 2.0, 50.0]))  # 50 R: starts far outside
+    coords = rng.normal(0.0, spread * radius_km, size=(n, 2))
+    for _ in range(draw(st.integers(0, 3))):  # exactly coincident UAVs (the jitter path)
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        coords[j] = coords[i]
+    if draw(st.booleans()):
+        coords[: draw(st.integers(1, n))] = 0.0  # stacked on the center
+    center = GeoPoint(draw(st.floats(-70.0, 70.0)), draw(st.sampled_from([127.0, 179.999, -179.999])))
+    config = RepairConfig(
+        max_iter=draw(st.sampled_from([1, 3, 25])),
+        alpha_r=draw(st.sampled_from([0.9, 0.5])),
+        overlap_tolerance_m=draw(st.sampled_from([0.0, 30.0, 250.0])),
+    )
+    return coords, radius_km, center, config
+
+
+class TestSeedEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(repair_inputs())
+    def test_matches_seed_algorithm(self, case):
+        coords, radius_km, center, config = case
+        expected = seed_repair_coords(coords, radius_km, center, config)
+        assert np.array_equal(repair_coords(coords, radius_km, center, config), expected)
+
+    @pytest.mark.parametrize("n, radius_km", [(8, 0.3), (3, 0.05)])
+    def test_iteration_cap_reached(self, n, radius_km):
+        # n discs cannot fit: every iteration overlaps and the cap is reached.
+        coords = np.random.default_rng(n).normal(0.0, radius_km, size=(n, 2))
+        coords[1] = coords[0]
+        config = RepairConfig(max_iter=40, overlap_tolerance_m=5.0)
+        out = repair_coords(coords, radius_km, CENTER, config)
+        assert np.array_equal(out, seed_repair_coords(coords, radius_km, CENTER, config))
+        radii = np.full(n, 0.2)
+        pairwise = np.linalg.norm(out[:, None] - out[None, :], axis=2)
+        assert pairwise_repulsion(out, radii, pairwise)[2]
+
+    def test_coincidences_in_several_iterations_share_one_jitter_stream(self):
+        # UAVs on one ray far outside are clamped onto the same boundary point,
+        # and pairs coincide again after later moves.
+        coords = np.array([[-1.5, 0.0], [-1.2, 0.0], [1.2, 0.0], [1.5, 0.0], [0.6, 0.0], [-0.9, 0.0]])
+        config = RepairConfig(max_iter=50)
+        expected = seed_repair_coords(coords, 0.3, CENTER, config)
+        assert np.array_equal(repair_coords(coords, 0.3, CENTER, config), expected)
+
+    def test_geometry_recomputed_after_a_fourth_boundary_scaling(self):
+        # The boundary projection stops after four scalings and the last one
+        # moves a UAV, so the distances it measured before are stale.
+        coords = np.array([
+            [-11.238740013009739, -2.82509524770163], [0.486920508943895, 2.4551220524800836],
+            [-8.8396931244688, -9.966357424486738], [1.7962607956237275, -4.200746551918218],
+            [2.119550505572027, 6.835675702305412],
+        ])
+        center = GeoPoint(42.62723691444842, 130.06205862396064)
+        expected = seed_repair_coords(coords, 0.3, center, RepairConfig())
+        assert np.array_equal(repair_coords(coords, 0.3, center), expected)
+
+    def test_rejects_non_positive_radius(self):
+        with pytest.raises(ValueError):
+            repair_coords(np.zeros((2, 2)), 0.0, CENTER)
