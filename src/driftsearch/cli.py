@@ -91,21 +91,26 @@ def cmd_plan(args) -> int:
     return 0
 
 
+_CONFIG_KEYS = (
+    "algorithms", "seeds", "uav_counts", "particle_counts", "budget_evals",
+    "fitness_unit_m", "eval_unit_m", "k0", "radius_multiplier",
+    "sigma_multiplier", "radius_floor_km",
+)
+
+
 def _spec_from_config(path: str) -> ExperimentSpec:
     doc = json.loads(Path(path).read_text())
-    base = default_spec()
+    unknown = sorted(set(doc) - {*_CONFIG_KEYS, "repair"})
+    if unknown:
+        raise ValueError(f"unknown key(s) in experiment config {path}: {', '.join(unknown)}")
     fields = {}
-    for key in (
-        "algorithms", "seeds", "uav_counts", "particle_counts", "budget_evals",
-        "fitness_unit_m", "eval_unit_m", "k0", "radius_multiplier",
-        "sigma_multiplier", "radius_floor_km",
-    ):
+    for key in _CONFIG_KEYS:
         if key in doc:
             value = doc[key]
             fields[key] = tuple(value) if isinstance(value, list) else value
     if "repair" in doc:
         fields["repair"] = RepairConfig(**doc["repair"])
-    return replace(base, **fields)
+    return replace(default_spec(), **fields)
 
 
 def cmd_experiment(args) -> int:

@@ -1,18 +1,20 @@
 """Score a deployment against the actual drifter trajectory.
 
 The trajectory between two track indices is discretized into unit-length
-segments; each segment midpoint that falls inside a UAV disc is assigned that
-UAV's probability of detection (best disc wins when several cover it). The
-coverage score is the expected number of a cohort of K0 drifters detected
-when they traverse the segments in order and stop once detected:
+segments, returned as an (m, 2) array of (lat, lon) midpoint rows. Each
+midpoint that falls inside a UAV disc is assigned that UAV's probability of
+detection (best disc wins when several cover it). The coverage score is the
+expected number of a cohort of K0 drifters detected when they traverse the
+segments in order and stop once detected:
 
-    coverage = K0 * sum_i P_i * prod_{j<i} (1 - P_j)
+    coverage = K0 * sum_i P_i * prod_{j<i} (1 - P_j) = K0 * (1 - prod_i (1 - P_i))
 
-A literal variant that raises the single previous-segment survival to the
-power (i - 1) instead of taking the running product is available behind
-``EvaluationConfig.literal_chain``; the two agree when all covered segments
-share one probability. A Monte-Carlo simulator provides an independent check
-of the analytic score.
+The sum telescopes, so the score is computed in the closed form on the right,
+which cannot exceed K0. A literal variant that raises the single
+previous-segment survival to the power (i - 1) instead of taking the running
+product is available behind ``EvaluationConfig.literal_chain``; the two agree
+when all covered segments share one probability. A Monte-Carlo simulator
+provides an independent check of the analytic score.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import EARTH, EarthModel, GeoPoint, haversine_km, haversine_km_arrays, latlon_to_local, local_to_latlon
-from .model import MAX_DETECTION_RADIUS_M, Deployment
+from .geo import EARTH, EarthModel, haversine_km, haversine_km_arrays, latlon_to_local, local_to_latlon
+from .model import Deployment, detection_pod
 from .ingest import DrifterTrack
 
 
@@ -77,12 +79,13 @@ def segment_trajectory(
     to_index: int,
     unit_m: float,
     earth: EarthModel = EARTH,
-) -> list[GeoPoint]:
+) -> np.ndarray:
     """Ordered midpoints of unit-length segments along the actual trajectory.
 
     The trajectory is the piecewise-linear path through the track records from
     `from_index` to `to_index`. Segments are `unit_m` long except the last,
-    which may be shorter.
+    which may be shorter. Returns an (m, 2) array of (lat, lon) rows;
+    longitudes outside [-180, 180] are wrapped as :class:`GeoPoint` does.
     """
     if not 0 <= from_index < to_index < len(track):
         raise EmptySlice(f"invalid slice [{from_index}, {to_index}] for track of length {len(track)}")
@@ -96,7 +99,7 @@ def segment_trajectory(
     total = cum[-1]
     if total <= 0:
         # Stationary slice: a single degenerate segment at the start point.
-        return [anchor]
+        return np.array([[anchor.lat, anchor.lon]])
     n_units = int(np.ceil(total / unit_m))
     starts = np.arange(n_units) * unit_m
     ends = np.minimum(starts + unit_m, total)
@@ -105,19 +108,17 @@ def segment_trajectory(
     east_m = np.interp(mids, cum, pts[:, 0])
     north_m = np.interp(mids, cum, pts[:, 1])
     mid_lat, mid_lon = local_to_latlon(east_m / 1000.0, north_m / 1000.0, anchor, earth)
-    return [GeoPoint(float(la), float(lo)) for la, lo in zip(mid_lat, mid_lon)]
+    mid_lon = np.where((mid_lon < -180.0) | (mid_lon > 180.0), ((mid_lon + 180.0) % 360.0) - 180.0, mid_lon)
+    return np.column_stack([mid_lat, mid_lon])
 
 
-def _segment_pods(deployment: Deployment, midpoints: list[GeoPoint], earth: EarthModel) -> np.ndarray:
-    """Best covering UAV's PoD per midpoint, 0 where uncovered."""
-    mid_lat = np.array([p.lat for p in midpoints])
-    mid_lon = np.array([p.lon for p in midpoints])
-    uav_lat = np.array([u.position.lat for u in deployment.uavs])
-    uav_lon = np.array([u.position.lon for u in deployment.uavs])
+def _segment_pods(deployment: Deployment, midpoints: np.ndarray, earth: EarthModel) -> np.ndarray:
+    """Best covering UAV's PoD per (lat, lon) midpoint row, 0 where uncovered."""
+    uav_lat, uav_lon = deployment.latlon()
     radii_m = np.array([u.detection_radius_m for u in deployment.uavs])
-    pods = 1.0 - np.exp(-radii_m / MAX_DETECTION_RADIUS_M)
+    pods = detection_pod(radii_m)
     dist_m = (
-        haversine_km_arrays(uav_lat[:, None], uav_lon[:, None], mid_lat[None, :], mid_lon[None, :], earth)
+        haversine_km_arrays(uav_lat[:, None], uav_lon[:, None], midpoints[:, 0], midpoints[:, 1], earth)
         * 1000.0
     )
     covered = dist_m < radii_m[:, None]
@@ -126,10 +127,12 @@ def _segment_pods(deployment: Deployment, midpoints: list[GeoPoint], earth: Eart
 
 
 def survival_chain(pods: np.ndarray, k0: int) -> float:
-    """Expected detections of a K0 cohort traversing segments in order."""
-    pods = np.asarray(pods, dtype=float)
-    survival = np.concatenate([[1.0], np.cumprod(1.0 - pods)[:-1]])
-    return float(k0 * np.sum(pods * survival))
+    """Expected detections of a K0 cohort traversing segments in order.
+
+    Computed in the closed form K0 * (1 - prod(1 - p)), which lies in [0, K0]
+    for probabilities in [0, 1].
+    """
+    return float(k0 * (1.0 - np.prod(1.0 - np.asarray(pods, dtype=float))))
 
 
 def literal_chain(pods: np.ndarray, k0: int) -> float:
@@ -159,7 +162,7 @@ def coverage(
     )
     return EvaluationReport(
         coverage=score,
-        segment_pods=tuple(float(p) for p in pods),
+        segment_pods=tuple(pods.tolist()),
         detected_any=bool((pods > 0).any()),
         trajectory_length_km=length_km,
     )

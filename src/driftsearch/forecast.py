@@ -54,11 +54,14 @@ class PredictorSpec:
 
 
 def load_external_forecast(path) -> list[GeoPoint]:
-    """Read an external per-step forecast CSV (``step,lat,lon``, steps 1..H)."""
+    """Read an external per-step forecast CSV (``step,lat,lon``, steps 1..H, each once)."""
     rows: dict[int, GeoPoint] = {}
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            rows[int(row["step"])] = GeoPoint(float(row["lat"]), float(row["lon"]))
+            step = int(row["step"])
+            if step in rows:
+                raise ValueError(f"duplicate forecast step {step} in {path}")
+            rows[step] = GeoPoint(float(row["lat"]), float(row["lon"]))
     if not rows:
         raise ValueError(f"empty forecast file {path}")
     steps = sorted(rows)

@@ -91,20 +91,8 @@ def haversine_km_arrays(lat1, lon1, lat2, lon2, earth: EarthModel = EARTH) -> np
     return 2.0 * earth.radius_km * np.arcsin(np.minimum(1.0, np.sqrt(s)))
 
 
-def _wrap_degrees(d: float) -> float:
-    return ((d + 180.0) % 360.0) - 180.0
-
-
-def to_local(p: GeoPoint, anchor: GeoPoint, earth: EarthModel = EARTH) -> LocalVector:
-    """Project a point into the tangent plane anchored at `anchor`."""
-    mpd = earth.meters_per_degree
-    east = _wrap_degrees(p.lon - anchor.lon) * math.cos(math.radians(anchor.lat)) * mpd
-    north = (p.lat - anchor.lat) * mpd
-    return LocalVector(east, north)
-
-
 def from_local(v: LocalVector, anchor: GeoPoint, earth: EarthModel = EARTH) -> GeoPoint:
-    """Inverse of :func:`to_local`."""
+    """Place a tangent-plane displacement from `anchor` back on the sphere."""
     mpd = earth.meters_per_degree
     lat = anchor.lat + v.north_m / mpd
     lon = anchor.lon + v.east_m / (mpd * math.cos(math.radians(anchor.lat)))
@@ -120,40 +108,13 @@ def local_to_latlon(east_km, north_km, anchor: GeoPoint, earth: EarthModel = EAR
 
 
 def latlon_to_local(lat, lon, anchor: GeoPoint, earth: EarthModel = EARTH):
-    """Array version of :func:`to_local`; outputs (east_km, north_km)."""
+    """Project degree arrays into the tangent plane anchored at `anchor`.
+
+    Outputs (east_km, north_km); the longitude difference is wrapped into
+    [-180, 180) first. Inverse of :func:`local_to_latlon`.
+    """
     mpd_km = earth.meters_per_degree / 1000.0
     dlon = ((np.asarray(lon) - anchor.lon + 180.0) % 360.0) - 180.0
     east = dlon * math.cos(math.radians(anchor.lat)) * mpd_km
     north = (np.asarray(lat) - anchor.lat) * mpd_km
     return east, north
-
-
-def project_to_circle(
-    p: GeoPoint, center: GeoPoint, radius_km: float, earth: EarthModel = EARTH
-) -> GeoPoint:
-    """Pull a point onto (or leave it within) a haversine circle.
-
-    Points inside the circle are returned unchanged. Points outside are moved
-    along the center-to-point direction so that they land exactly on the
-    boundary. A point coinciding with the center has no direction and is
-    returned as the center itself.
-    """
-    d = haversine_km(p, center, earth)
-    if d <= radius_km:
-        return p
-    v = to_local(p, center, earth)
-    east, north = v.east_m, v.north_m
-    q = p
-    # The local-plane scaling is a contraction on the haversine distance;
-    # a couple of fixed-point steps land inside machine precision.
-    for _ in range(8):
-        scale = radius_km / d
-        east *= scale
-        north *= scale
-        q = from_local(LocalVector(east, north), center, earth)
-        d = haversine_km(q, center, earth)
-        if d <= radius_km:
-            return q
-    east *= 1.0 - 1e-12
-    north *= 1.0 - 1e-12
-    return from_local(LocalVector(east, north), center, earth)

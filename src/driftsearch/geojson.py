@@ -104,11 +104,7 @@ def export_geojson(
         feats.append(_feature({"type": "LineString", "coordinates": coords}, role="trajectory"))
         if report is not None:
             midpoints = segment_trajectory(track, lo, hi, eval_unit_m, earth)
-            covered = [
-                _coord(m)
-                for m, p in zip(midpoints, report.segment_pods)
-                if p > 0
-            ]
+            covered = [[lon, lat] for (lat, lon), p in zip(midpoints.tolist(), report.segment_pods) if p > 0]
             if covered and len(midpoints) == report.n_segments:
                 feats.append(
                     _feature({"type": "MultiPoint", "coordinates": covered}, role="covered-segments")

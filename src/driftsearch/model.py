@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .geo import EARTH, EarthModel, GeoPoint, haversine_km
+from .geo import EARTH, EarthModel, GeoPoint, haversine_km, latlon_to_local, local_to_latlon
 from .scenario import SearchArea
 
 MAX_DETECTION_RADIUS_M = 600.0
@@ -33,12 +32,13 @@ def detection_radius_m(uav_pos: GeoPoint, center: GeoPoint, earth: EarthModel = 
     return float(radius_law(haversine_km(uav_pos, center, earth)))
 
 
-def detection_pod(radius_m: float) -> float:
+def detection_pod(radius_m):
     """Probability of detection for a disc of the given effective radius.
 
-    1 - exp(-c) with coverage factor c = radius / 600.
+    1 - exp(-c) with coverage factor c = radius / 600. Vectorized over numpy
+    arrays.
     """
-    return 1.0 - math.exp(-radius_m / MAX_DETECTION_RADIUS_M)
+    return 1.0 - np.exp(-radius_m / MAX_DETECTION_RADIUS_M)
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class UavPosition:
 
     @property
     def pod(self) -> float:
-        return detection_pod(self.detection_radius_m)
+        return float(detection_pod(self.detection_radius_m))
 
 
 def covers(uav: UavPosition, p: GeoPoint, earth: EarthModel = EARTH) -> bool:
@@ -81,6 +81,25 @@ class Deployment:
         """Build a deployment, deriving every detection radius from `area.center`."""
         uavs = tuple(UavPosition.place(p, area.center, earth) for p in points)
         return cls(uavs, area)
+
+    @classmethod
+    def from_coords(
+        cls, coords_km: np.ndarray, area: SearchArea, earth: EarthModel = EARTH
+    ) -> "Deployment":
+        """Build a deployment from (n, 2) local-plane km rows anchored at `area.center`."""
+        lat, lon = local_to_latlon(coords_km[:, 0], coords_km[:, 1], area.center, earth)
+        return cls.from_points(map(GeoPoint, lat.tolist(), lon.tolist()), area, earth)
+
+    def latlon(self) -> tuple[np.ndarray, np.ndarray]:
+        """UAV latitudes and longitudes as two degree arrays."""
+        lat = np.array([u.position.lat for u in self.uavs])
+        lon = np.array([u.position.lon for u in self.uavs])
+        return lat, lon
+
+    def coords_km(self, earth: EarthModel = EARTH) -> np.ndarray:
+        """UAV positions as (n, 2) local-plane km rows anchored at `area.center`."""
+        east, north = latlon_to_local(*self.latlon(), self.area.center, earth)
+        return np.column_stack([east, north])
 
     def __len__(self) -> int:
         return len(self.uavs)

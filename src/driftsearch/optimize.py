@@ -13,11 +13,11 @@ only at the API boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geo import EARTH, EarthModel, GeoPoint, haversine_km_arrays, latlon_to_local, local_to_latlon
+from .geo import EARTH, EarthModel, haversine_km_arrays, latlon_to_local, local_to_latlon
 from .model import MAX_DETECTION_RADIUS_M, Deployment, radius_law
 from .repair import RepairConfig, repair_coords
 from .scenario import Scenario, SearchArea
@@ -204,28 +204,13 @@ class FitnessEvaluator:
         return FitnessValue(int(np.count_nonzero(detected)), self.total_segments)
 
     def evaluate(self, deployment: Deployment) -> FitnessValue:
-        coords = _deployment_coords(deployment, self.center, self.earth)
-        return self.evaluate_coords(coords)
+        """Fitness of a deployment; its UAVs are read in this scenario's frame."""
+        return self.evaluate_coords(replace(deployment, area=self.scenario.area).coords_km(self.earth))
 
 
 def fitness(deployment: Deployment, scenario: Scenario, unit_m: float = 100.0) -> FitnessValue:
     """One-off fitness of a deployment (builds a throwaway evaluator)."""
     return FitnessEvaluator(scenario, unit_m).evaluate(deployment)
-
-
-def _deployment_coords(deployment: Deployment, center: GeoPoint, earth: EarthModel) -> np.ndarray:
-    lat = np.array([u.position.lat for u in deployment.uavs])
-    lon = np.array([u.position.lon for u in deployment.uavs])
-    east, north = latlon_to_local(lat, lon, center, earth)
-    return np.column_stack([east, north])
-
-
-def _coords_to_deployment(
-    coords_km: np.ndarray, area: SearchArea, earth: EarthModel = EARTH
-) -> Deployment:
-    lat, lon = local_to_latlon(coords_km[:, 0], coords_km[:, 1], area.center, earth)
-    points = [GeoPoint(float(la), float(lo)) for la, lo in zip(lat, lon)]
-    return Deployment.from_points(points, area, earth)
 
 
 def _random_coords(n_uavs: int, radius_km: float, rng: np.random.Generator) -> np.ndarray:
@@ -239,7 +224,7 @@ def initialize(n_uavs: int, area: SearchArea, seed: int, earth: EarthModel = EAR
     """Random deployment inside the search area, radii derived per position."""
     rng = np.random.default_rng(seed)
     coords = _random_coords(n_uavs, area.radius_km, rng)
-    return _coords_to_deployment(coords, area, earth)
+    return Deployment.from_coords(coords, area, earth)
 
 
 def run_random(scenario: Scenario, config: OptimizerConfig, earth: EarthModel = EARTH) -> OptimizationResult:
@@ -259,7 +244,7 @@ def run_random(scenario: Scenario, config: OptimizerConfig, earth: EarthModel = 
         if (i + 1) % block == 0 or i + 1 == config.budget_evals:
             history.append(float(best_fv.score))
     return OptimizationResult(
-        _coords_to_deployment(best_coords, area, earth), best_fv, tuple(history), ev.evals
+        Deployment.from_coords(best_coords, area, earth), best_fv, tuple(history), ev.evals
     )
 
 
@@ -326,7 +311,7 @@ def run_ga(scenario: Scenario, config: OptimizerConfig, earth: EarthModel = EART
             best_fv, best_coords = fits[0], pop[0]
         history.append(float(best_fv.score))
     return OptimizationResult(
-        _coords_to_deployment(best_coords, area, earth), best_fv, tuple(history), ev.evals
+        Deployment.from_coords(best_coords, area, earth), best_fv, tuple(history), ev.evals
     )
 
 
@@ -369,7 +354,7 @@ def run_pso(scenario: Scenario, config: OptimizerConfig, earth: EarthModel = EAR
                     gbest, gbest_f = pos[i].copy(), fv
         history.append(float(gbest_f.score))
     return OptimizationResult(
-        _coords_to_deployment(gbest, area, earth), gbest_f, tuple(history), ev.evals
+        Deployment.from_coords(gbest, area, earth), gbest_f, tuple(history), ev.evals
     )
 
 
@@ -415,7 +400,7 @@ def run_sa(scenario: Scenario, config: OptimizerConfig, earth: EarthModel = EART
     if not history or history[-1] != float(best_f.score):
         history.append(float(best_f.score))
     return OptimizationResult(
-        _coords_to_deployment(best, area, earth), best_f, tuple(history), ev.evals
+        Deployment.from_coords(best, area, earth), best_f, tuple(history), ev.evals
     )
 
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geo import EARTH, EarthModel, GeoPoint, haversine_km_arrays, latlon_to_local, local_to_latlon
+from .geo import EARTH, EarthModel, GeoPoint, haversine_km_arrays, local_to_latlon
 from .model import Deployment, radius_law
 
 # Fixed seed for the tie-break jitter applied to exactly coincident UAVs;
@@ -190,8 +190,7 @@ def repair_coords(
 
 def _is_feasible(deployment: Deployment, config: RepairConfig, earth: EarthModel) -> bool:
     center = deployment.area.center
-    lat = np.array([u.position.lat for u in deployment.uavs])
-    lon = np.array([u.position.lon for u in deployment.uavs])
+    lat, lon = deployment.latlon()
     d_center, pairwise = _distances(np.append(lat, center.lat), np.append(lon, center.lon), earth)
     if (d_center > deployment.area.radius_km).any():
         return False
@@ -211,12 +210,6 @@ def repair(
     """
     if _is_feasible(deployment, config, earth):
         return deployment
-    center = deployment.area.center
-    lat = np.array([u.position.lat for u in deployment.uavs])
-    lon = np.array([u.position.lon for u in deployment.uavs])
-    east, north = latlon_to_local(lat, lon, center, earth)
-    coords = np.column_stack([east, north])
-    repaired = repair_coords(coords, deployment.area.radius_km, center, config, earth)
-    out_lat, out_lon = local_to_latlon(repaired[:, 0], repaired[:, 1], center, earth)
-    points = [GeoPoint(float(la), float(lo)) for la, lo in zip(out_lat, out_lon)]
-    return Deployment.from_points(points, deployment.area, earth)
+    area = deployment.area
+    repaired = repair_coords(deployment.coords_km(earth), area.radius_km, area.center, config, earth)
+    return Deployment.from_coords(repaired, area, earth)

@@ -111,7 +111,7 @@ def sample_particles(
         raise ValueError("k must be >= 1")
     sigma_km = sigma_multiplier * forecast.prev_step_error_km
     rng = np.random.default_rng(seed)
-    offsets = rng.normal(0.0, sigma_km if sigma_km > 0 else 0.0, size=(k, 2)) if sigma_km > 0 else np.zeros((k, 2))
+    offsets = rng.normal(0.0, sigma_km, size=(k, 2)) if sigma_km > 0 else np.zeros((k, 2))
     lats, lons = local_to_latlon(offsets[:, 0], offsets[:, 1], forecast.predicted, earth)
     return [Particle(GeoPoint(float(lat), float(lon))) for lat, lon in zip(lats, lons)]
 

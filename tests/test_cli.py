@@ -69,6 +69,14 @@ def test_experiment_small(tracks_csv, tmp_path, capsys):
     assert (out / "summary.csv").exists()
 
 
+def test_experiment_config_unknown_key_rejected(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"budget_eval": 120, "seeds": [0], "uav_count": [4]}))
+    with pytest.raises(ValueError, match="budget_eval, uav_count"):
+        main(["experiment", "--config", str(config), "--out", str(tmp_path / "exp-out")])
+    assert not (tmp_path / "exp-out").exists()
+
+
 def test_missing_subcommand_errors():
     with pytest.raises(SystemExit):
         main([])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from driftsearch.evaluate import (
     EmptySlice,
@@ -15,9 +17,10 @@ from driftsearch.evaluate import (
     segment_trajectory,
     survival_chain,
 )
-from driftsearch.geo import GeoPoint, haversine_km
+from driftsearch.geo import GeoPoint, haversine_km, haversine_km_arrays, latlon_to_local, local_to_latlon
 from driftsearch.ingest import synthesize_track
-from driftsearch.model import Deployment, UavPosition
+from driftsearch.model import MAX_DETECTION_RADIUS_M, Deployment, UavPosition
+from driftsearch.optimize import initialize
 from driftsearch.scenario import SearchArea
 
 
@@ -53,6 +56,21 @@ class TestSurvivalChain:
         pods = np.array([0.6, 0.0, 0.0, 0.3])
         assert literal_chain(pods, 100) != pytest.approx(survival_chain(pods, 100))
 
+    # The running-product form summed these 57 PoDs to 100.00000000000003.
+    @example(
+        pods=[0.53, 0.3, 0.47, 0.61, 0.63, 0.51, 0.38, 0.35, 0.29, 0.56, 0.55, 0.57, 0.51, 0.46, 0.35,
+              0.59, 0.47, 0.55, 0.63, 0.64, 0.31, 0.59, 0.53, 0.37, 0.3, 0.53, 0.63, 0.58, 0.43, 0.62,
+              0.64, 0.32, 0.33, 0.61, 0.47, 0.41, 0.29, 0.52, 0.5, 0.63, 0.52, 0.46, 0.32, 0.53, 0.54,
+              0.41, 0.56, 0.31, 0.48, 0.43, 0.5, 0.38, 0.4, 0.44, 0.54, 0.57, 0.49],
+        k0=100,
+    )
+    @given(
+        pods=st.lists(st.floats(0.0, 1.0), max_size=200),
+        k0=st.integers(1, 10_000),
+    )
+    def test_within_zero_and_k0(self, pods, k0):
+        assert 0.0 <= survival_chain(np.array(pods), k0) <= k0
+
 
 class TestMonteCarloChain:
     def test_matches_analytic(self):
@@ -83,7 +101,7 @@ class TestSegmentTrajectory:
         mids = segment_trajectory(t, 6, 12, unit_m=50.0)
         for m in mids:
             nearest = min(
-                haversine_km(m, t.position(i)) for i in range(6, 13)
+                haversine_km(GeoPoint(*m), t.position(i)) for i in range(6, 13)
             )
             # Any midpoint is within half a step of some vertex.
             assert nearest <= 0.26
@@ -91,7 +109,7 @@ class TestSegmentTrajectory:
     def test_first_midpoint_near_start(self):
         t = make_track()
         mids = segment_trajectory(t, 6, 12, unit_m=100.0)
-        assert haversine_km(mids[0], t.position(6)) * 1000.0 == pytest.approx(50.0, abs=1.0)
+        assert haversine_km(GeoPoint(*mids[0]), t.position(6)) * 1000.0 == pytest.approx(50.0, abs=1.0)
 
     def test_finer_unit_more_segments(self):
         t = make_track()
@@ -121,7 +139,7 @@ class TestCoverage:
         # A 600 m disc parked on a single 0.5 km step covers every segment;
         # score is K0 * (1 - (1 - pod)^n).
         t = make_track(drift=0.4, turn=0.05)
-        mid = segment_trajectory(t, 6, 7, unit_m=1000.0)[0]
+        mid = GeoPoint(*segment_trajectory(t, 6, 7, unit_m=1000.0)[0])
         dep = Deployment((UavPosition(mid, 600.0),), SearchArea(mid, 2.0))
         cfg = EvaluationConfig(unit_m=100.0)
         report = coverage(dep, t, 6, 7, cfg)
@@ -162,3 +180,83 @@ class TestCoverage:
         dep = Deployment((UavPosition(t.position(9), 600.0),), SearchArea(t.position(9), 3.0))
         doc = json.loads(coverage(dep, t, 6, 12).to_json())
         assert set(doc) == {"coverage", "trajectory_length_km", "n_segments", "n_covered"}
+
+
+# Frozen copies of the first GeoPoint-based implementation, kept as oracles.
+
+
+def seed_segment_trajectory(track, from_index, to_index, unit_m):
+    anchor = track.position(from_index)
+    lat = np.array([track.position(i).lat for i in range(from_index, to_index + 1)])
+    lon = np.array([track.position(i).lon for i in range(from_index, to_index + 1)])
+    east, north = latlon_to_local(lat, lon, anchor)
+    pts = np.column_stack([east, north]) * 1000.0
+    seg_len = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    total = cum[-1]
+    if total <= 0:
+        return [anchor]
+    n_units = int(np.ceil(total / unit_m))
+    starts = np.arange(n_units) * unit_m
+    ends = np.minimum(starts + unit_m, total)
+    mids = (starts + ends) / 2.0
+    east_m = np.interp(mids, cum, pts[:, 0])
+    north_m = np.interp(mids, cum, pts[:, 1])
+    mid_lat, mid_lon = local_to_latlon(east_m / 1000.0, north_m / 1000.0, anchor)
+    return [GeoPoint(float(la), float(lo)) for la, lo in zip(mid_lat, mid_lon)]
+
+
+def seed_segment_pods(deployment, midpoints):
+    mid_lat = np.array([p.lat for p in midpoints])
+    mid_lon = np.array([p.lon for p in midpoints])
+    uav_lat = np.array([u.position.lat for u in deployment.uavs])
+    uav_lon = np.array([u.position.lon for u in deployment.uavs])
+    radii_m = np.array([u.detection_radius_m for u in deployment.uavs])
+    pods = 1.0 - np.exp(-radii_m / MAX_DETECTION_RADIUS_M)
+    dist_m = haversine_km_arrays(uav_lat[:, None], uav_lon[:, None], mid_lat[None, :], mid_lon[None, :]) * 1000.0
+    return np.where(dist_m < radii_m[:, None], pods[:, None], 0.0).max(axis=0)
+
+
+def seed_survival_chain(pods, k0):
+    survival = np.concatenate([[1.0], np.cumprod(1.0 - pods)[:-1]])
+    return float(k0 * np.sum(pods * survival))
+
+
+# (track, slice, deployment area center index): two ordinary tracks and two
+# that cross the antimeridian from starts 0.005 degrees off lon +-180.
+EQUIVALENCE_CASES = [
+    (make_track(), (6, 12), 9),
+    (make_track(seed=8, drift=0.8, turn=0.5), (3, 11), 7),
+    (synthesize_track(seed=0, hours=8, start=GeoPoint(34.0, 179.995), drift_kmh=0.5, turn_sigma=0.3), (0, 7), 3),
+    (synthesize_track(seed=4, hours=8, start=GeoPoint(-20.0, -179.995), drift_kmh=0.5, turn_sigma=0.3), (0, 7), 3),
+]
+
+
+class TestSeedEquivalence:
+    @pytest.mark.parametrize("case", range(len(EQUIVALENCE_CASES)))
+    @pytest.mark.parametrize("unit_m", [1.0, 25.0, 100.0])
+    def test_segment_trajectory(self, case, unit_m):
+        track, (lo, hi), _ = EQUIVALENCE_CASES[case]
+        expected = np.array([(p.lat, p.lon) for p in seed_segment_trajectory(track, lo, hi, unit_m)])
+        assert np.array_equal(segment_trajectory(track, lo, hi, unit_m), expected)
+
+    def test_antimeridian_cases_cross(self):
+        for track, (lo, hi), _ in EQUIVALENCE_CASES[2:]:
+            lon = segment_trajectory(track, lo, hi, 25.0)[:, 1]
+            assert lon.min() < -179.9 and lon.max() > 179.9
+
+    @pytest.mark.parametrize("case", range(len(EQUIVALENCE_CASES)))
+    @pytest.mark.parametrize("unit_m", [1.0, 25.0, 100.0])
+    @pytest.mark.parametrize("n_uavs", [6, 8])
+    def test_coverage(self, case, unit_m, n_uavs):
+        track, (lo, hi), center_index = EQUIVALENCE_CASES[case]
+        area = SearchArea(track.position(center_index), 1.5)
+        dep = initialize(n_uavs, area, seed=case)
+        pods = seed_segment_pods(dep, seed_segment_trajectory(track, lo, hi, unit_m))
+        report = coverage(dep, track, lo, hi, EvaluationConfig(unit_m=unit_m))
+        assert report.segment_pods == tuple(float(p) for p in pods)
+        assert report.detected_any
+        # The running product and the closed form differ only by rounding.
+        assert report.coverage == pytest.approx(seed_survival_chain(pods, 100), rel=1e-12, abs=1e-12)
+        literal = coverage(dep, track, lo, hi, EvaluationConfig(unit_m=unit_m, literal_chain=True))
+        assert literal.coverage == literal_chain(pods, 100)

@@ -97,6 +97,12 @@ class TestExternalFile:
         with pytest.raises(ValueError):
             load_external_forecast(path)
 
+    def test_duplicate_step_rejected(self, tmp_path):
+        path = tmp_path / "fc.csv"
+        path.write_text("step,lat,lon\n1,34.1,127.1\n2,34.2,127.2\n2,34.25,127.25\n")
+        with pytest.raises(ValueError, match="duplicate forecast step 2"):
+            load_external_forecast(path)
+
     def test_too_few_steps(self, tmp_path):
         path = tmp_path / "fc.csv"
         path.write_text("step,lat,lon\n1,34.1,127.1\n")

@@ -1,4 +1,4 @@
-"""Geometry primitives: haversine, tangent plane, circle projection."""
+"""Geometry primitives: haversine and the local tangent plane."""
 
 import math
 
@@ -17,8 +17,6 @@ from driftsearch.geo import (
     haversine_km_arrays,
     latlon_to_local,
     local_to_latlon,
-    project_to_circle,
-    to_local,
 )
 
 
@@ -104,6 +102,12 @@ class TestHaversine:
         assert np.allclose(grid, grid.T)
 
 
+def to_local(p: GeoPoint, anchor: GeoPoint) -> LocalVector:
+    """One point through :func:`latlon_to_local`, in meters."""
+    east_km, north_km = latlon_to_local(p.lat, p.lon, anchor)
+    return LocalVector(float(east_km) * 1000.0, float(north_km) * 1000.0)
+
+
 class TestTangentPlane:
     def test_round_trip(self):
         anchor = GeoPoint(34.0, 127.0)
@@ -136,52 +140,19 @@ class TestTangentPlane:
         east, north = latlon_to_local([p.lat for p in pts], [p.lon for p in pts], anchor)
         for i, p in enumerate(pts):
             v = to_local(p, anchor)
-            assert east[i] * 1000.0 == pytest.approx(v.east_m, rel=1e-12)
-            assert north[i] * 1000.0 == pytest.approx(v.north_m, rel=1e-12)
+            assert east[i] * 1000.0 == v.east_m
+            assert north[i] * 1000.0 == v.north_m
         lat, lon = local_to_latlon(east, north, anchor)
         for i, p in enumerate(pts):
+            q = from_local(LocalVector(east[i] * 1000.0, north[i] * 1000.0), anchor)
+            assert lat[i] == pytest.approx(q.lat, abs=1e-12)
+            assert lon[i] == pytest.approx(q.lon, abs=1e-12)
             assert lat[i] == pytest.approx(p.lat, abs=1e-12)
             assert lon[i] == pytest.approx(p.lon, abs=1e-12)
 
     def test_non_finite_vector_rejected(self):
         with pytest.raises(ValueError):
             LocalVector(float("nan"), 0.0)
-
-
-class TestProjectToCircle:
-    CENTER = GeoPoint(34.0, 127.0)
-
-    def test_inside_is_identity(self):
-        p = from_local(LocalVector(500.0, -300.0), self.CENTER)
-        assert project_to_circle(p, self.CENTER, 2.0) is p
-
-    def test_outside_lands_on_boundary(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            angle = rng.uniform(0.0, 2.0 * math.pi)
-            dist_m = rng.uniform(2100.0, 50000.0)
-            p = from_local(LocalVector(dist_m * math.cos(angle), dist_m * math.sin(angle)), self.CENTER)
-            q = project_to_circle(p, self.CENTER, 2.0)
-            d = haversine_km(q, self.CENTER)
-            assert d <= 2.0
-            # Lands on (or a hair inside) the boundary; from 50 km out the
-            # tangent-plane contraction can undershoot by a couple of meters.
-            assert d == pytest.approx(2.0, abs=5e-3)
-
-    def test_idempotent(self):
-        p = from_local(LocalVector(9000.0, 100.0), self.CENTER)
-        q = project_to_circle(p, self.CENTER, 3.0)
-        assert project_to_circle(q, self.CENTER, 3.0) is q
-
-    def test_center_maps_to_center(self):
-        assert project_to_circle(self.CENTER, self.CENTER, 1.0) == self.CENTER
-
-    def test_direction_preserved(self):
-        p = from_local(LocalVector(8000.0, 6000.0), self.CENTER)
-        q = project_to_circle(p, self.CENTER, 1.0)
-        v = to_local(q, self.CENTER)
-        # Same bearing as the original offset (atan2 of a positive scalar multiple).
-        assert math.atan2(v.north_m, v.east_m) == pytest.approx(math.atan2(6000.0, 8000.0), abs=1e-9)
 
 
 def seed_haversine_km(lat1, lon1, lat2, lon2, radius_km=6371.0):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from driftsearch.geo import EARTH, GeoPoint, LocalVector, from_local, haversine_km
+from driftsearch.geo import EARTH, GeoPoint, LocalVector, from_local, haversine_km, local_to_latlon
 from driftsearch.model import (
     MAX_DETECTION_RADIUS_M,
     MIN_DETECTION_RADIUS_M,
@@ -23,6 +23,11 @@ CENTER = GeoPoint(34.0, 127.0)
 
 def at_distance_km(d_km: float, angle: float = 0.3) -> GeoPoint:
     return from_local(LocalVector(d_km * 1000.0 * math.cos(angle), d_km * 1000.0 * math.sin(angle)), CENTER)
+
+
+def at(east_km: float, north_km: float) -> GeoPoint:
+    lat, lon = local_to_latlon(east_km, north_km, CENTER)
+    return GeoPoint(float(lat), float(lon))
 
 
 class TestRadiusLaw:
@@ -103,6 +108,17 @@ class TestDeployment:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Deployment(uavs=(), area=SearchArea(CENTER, 1.0))
+
+    def test_coords_round_trip(self):
+        area = SearchArea(CENTER, 3.0)
+        coords = np.array([[0.0, 0.0], [1.2, -0.5], [-2.0, 1.9]])
+        dep = Deployment.from_coords(coords, area)
+        assert dep == Deployment.from_points([CENTER, *(at(e, n) for e, n in coords[1:])], area)
+        lat, lon = dep.latlon()
+        assert lat.tolist() == [u.position.lat for u in dep.uavs]
+        assert lon.tolist() == [u.position.lon for u in dep.uavs]
+        assert np.allclose(dep.coords_km(), coords, rtol=0.0, atol=1e-9)
+        assert dep.uavs[0].detection_radius_m == 600.0
 
     def test_area_radius_positive(self):
         with pytest.raises(ValueError):

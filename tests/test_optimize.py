@@ -77,6 +77,17 @@ class TestFitnessEvaluator:
         assert fitness(dep, scen).score == 0
 
 
+    def test_deployment_read_in_scenario_frame(self):
+        # Fitness depends on where the UAVs are, not on the area they carry.
+        from driftsearch.model import Deployment
+
+        scen = small_scenario()
+        dep = initialize(6, scen.area, 2)
+        other = SearchArea(from_local(LocalVector(3000.0, -2000.0), scen.area.center), 1.0)
+        assert fitness(dep, scen).score > 0
+        assert fitness(Deployment(dep.uavs, other), scen) == fitness(dep, scen)
+
+
 class TestInitialize:
     def test_within_area(self):
         scen = small_scenario()

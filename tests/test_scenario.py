@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftsearch.forecast import Forecast
-from driftsearch.geo import GeoPoint, haversine_km, to_local
+from driftsearch.geo import GeoPoint, haversine_km, latlon_to_local
 from driftsearch.ingest import AccidentSpec, synthesize_track
 from driftsearch.scenario import (
     DEFAULT_RADIUS_FLOOR_KM,
@@ -53,8 +53,8 @@ class TestSampleParticles:
         # sigma = sigma_multiplier * prev_step_error.
         fc = Forecast(PRED, 0.75, 7)
         particles = sample_particles(fc, 4000, seed=1)
-        offsets = np.array(
-            [(v.east_m / 1000.0, v.north_m / 1000.0) for v in (to_local(p.position, PRED) for p in particles)]
+        offsets = np.column_stack(
+            latlon_to_local([p.position.lat for p in particles], [p.position.lon for p in particles], PRED)
         )
         sigma = 4.0 * 0.75
         assert abs(offsets.mean()) < 0.1
