@@ -54,10 +54,7 @@ def _load_instances(args) -> tuple[InstanceSpec, ...]:
 
 
 def cmd_predict(args) -> int:
-    if args.tracks:
-        tracks = load_tracks(args.tracks)
-    else:
-        tracks = [inst.track for inst in synthetic_instances()]
+    tracks = load_tracks(args.tracks) if args.tracks else [inst.track for inst in synthetic_instances()]
     specs = [PredictorSpec("persistence"), PredictorSpec("linear-extrapolation")]
     if args.forecast_file:
         specs.append(PredictorSpec("external-file", {"path": args.forecast_file}))
@@ -114,17 +111,9 @@ def _spec_from_config(path: str) -> ExperimentSpec:
 
 
 def cmd_experiment(args) -> int:
-    if args.config:
-        spec = _spec_from_config(args.config)
-    else:
-        spec = default_spec()
-    overrides = {}
-    if args.algo:
-        overrides["algorithms"] = tuple(args.algo)
-    if args.uavs:
-        overrides["uav_counts"] = tuple(args.uavs)
-    if args.particles:
-        overrides["particle_counts"] = tuple(args.particles)
+    spec = _spec_from_config(args.config) if args.config else default_spec()
+    lists = {"algorithms": args.algo, "uav_counts": args.uavs, "particle_counts": args.particles}
+    overrides = {key: tuple(value) for key, value in lists.items() if value}
     if args.seed is not None:
         overrides["seeds"] = (args.seed,)
     if args.tracks:
@@ -160,14 +149,12 @@ def cmd_validate(args) -> int:
     instance = synthetic_instances(1)[0]
     fc = forecast_scenario(instance.track, instance.accident, instance.predictor)
     scen = build_scenario(instance.track, instance.accident, fc, k=10, seed=7)
-    ok = True
-    for seed in range(20):
-        dep = initialize(6, scen.area, seed)
-        fixed = repair(dep)
-        for uav in fixed.uavs:
-            if haversine_km(uav.position, scen.area.center) > scen.area.radius_km + 1e-6:
-                ok = False
-    checks.append(("repair keeps 20 random deployments in-bounds", ok))
+    outside = any(
+        haversine_km(uav.position, scen.area.center) > scen.area.radius_km + 1e-6
+        for seed in range(20)
+        for uav in repair(initialize(6, scen.area, seed)).uavs
+    )
+    checks.append(("repair keeps 20 random deployments in-bounds", not outside))
 
     dep = repair(initialize(6, scen.area, 99))
     lo = instance.accident.accident_index
@@ -178,11 +165,9 @@ def cmd_validate(args) -> int:
     tol = max(1.0, 0.05 * max(analytic, 1.0))
     checks.append(("analytic coverage matches Monte-Carlo", abs(analytic - simulated) < tol))
 
-    failed = 0
     for name, passed in checks:
         print(f"[{'PASS' if passed else 'FAIL'}] {name}")
-        failed += 0 if passed else 1
-    return 1 if failed else 0
+    return 0 if all(passed for _, passed in checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,7 +3,11 @@
 The trajectory between two track indices is discretized into unit-length
 segments, returned as an (m, 2) array of (lat, lon) midpoint rows. Each
 midpoint that falls inside a UAV disc is assigned that UAV's probability of
-detection (best disc wins when several cover it). The coverage score is the
+detection (best disc wins when several cover it). The distances come from the
+same :class:`~driftsearch.geo.MidpointIndex` the fitness uses: only pairs it
+cannot rule out are measured, and a pair is ruled out only by a proven lower
+bound beyond the largest disc, so the PoDs equal the full distance matrix's
+bit for bit. The coverage score is the
 expected number of a cohort of K0 drifters detected when they traverse the
 segments in order and stop once detected:
 
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import EARTH, EarthModel, haversine_km, haversine_km_arrays, latlon_to_local, local_to_latlon
+from .geo import EARTH, EarthModel, MidpointIndex, haversine_km, haversine_km_arrays, latlon_to_local, local_to_latlon
 from .model import Deployment, detection_pod
 from .ingest import DrifterTrack
 
@@ -113,17 +117,24 @@ def segment_trajectory(
 
 
 def _segment_pods(deployment: Deployment, midpoints: np.ndarray, earth: EarthModel) -> np.ndarray:
-    """Best covering UAV's PoD per (lat, lon) midpoint row, 0 where uncovered."""
+    """Best covering UAV's PoD per (lat, lon) midpoint row, 0 where uncovered.
+
+    The haversine runs only on the pairs a :class:`MidpointIndex` with the
+    largest disc radius as its reach returns; every pair it leaves out lies
+    outside every disc. The haversine is element-wise and a max is exact in
+    any order, so ``np.maximum.at`` over the covered pairs gives the PoDs of
+    the dense UAV x midpoint matrix bit for bit.
+    """
     uav_lat, uav_lon = deployment.latlon()
     radii_m = np.array([u.detection_radius_m for u in deployment.uavs])
-    pods = detection_pod(radii_m)
-    dist_m = (
-        haversine_km_arrays(uav_lat[:, None], uav_lon[:, None], midpoints[:, 0], midpoints[:, 1], earth)
-        * 1000.0
-    )
-    covered = dist_m < radii_m[:, None]
-    per_uav = np.where(covered, pods[:, None], 0.0)
-    return per_uav.max(axis=0)
+    reach_km = radii_m.max(initial=0.0, where=radii_m > 0) / 1000.0  # a NaN or negative radius covers nothing
+    index = MidpointIndex(midpoints[:, 0], midpoints[:, 1], reach_km, earth)
+    uav, mid = index.pairs(uav_lat, uav_lon)
+    dist_m = haversine_km_arrays(uav_lat[uav], uav_lon[uav], index.lat[mid], index.lon[mid], earth) * 1000.0
+    covered = dist_m < radii_m[uav]
+    pods = np.zeros(len(midpoints))
+    np.maximum.at(pods, index.order[mid[covered]], detection_pod(radii_m)[uav[covered]])
+    return pods
 
 
 def survival_chain(pods: np.ndarray, k0: int) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -166,7 +167,11 @@ def run_cell(
     start = time.perf_counter()
     result = run(scen, config)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    assert result.evals_used == spec.budget_evals, "budget parity violated"
+    if result.evals_used != spec.budget_evals:
+        raise RuntimeError(
+            f"budget parity violated in cell {instance.name} n={n_uavs} k={n_particles} {algorithm} "
+            f"seed={seed}: {result.evals_used} evaluations, budget {spec.budget_evals}"
+        )
     lo = instance.accident.accident_index
     hi = lo + instance.accident.horizon_hours
     report = coverage(result.best, instance.track, lo, hi, EvaluationConfig(spec.eval_unit_m, spec.k0))
@@ -202,21 +207,18 @@ def run_experiment(
         if write_maps:
             maps_dir = out_dir / "maps"
             maps_dir.mkdir(exist_ok=True)
-    for instance in spec.instances:
-        for n_uavs in spec.uav_counts:
-            for n_particles in spec.particle_counts:
-                for algorithm in spec.algorithms:
-                    for seed in spec.seeds:
-                        cell = f"{instance.name}_u{n_uavs}_p{n_particles}_{algorithm}_s{seed}"
-                        geojson_path = maps_dir / f"{cell}.geojson" if maps_dir else None
-                        try:
-                            row = run_cell(instance, n_uavs, n_particles, algorithm, seed, spec, geojson_path)
-                        except Exception:
-                            log.exception("cell %s failed", cell)
-                            continue
-                        rows.append(row)
-                        if progress:
-                            print(f"{cell}: coverage={row.coverage:.2f} fitness={row.best_fitness}")
+    grid = itertools.product(spec.instances, spec.uav_counts, spec.particle_counts, spec.algorithms, spec.seeds)
+    for instance, n_uavs, n_particles, algorithm, seed in grid:
+        cell = f"{instance.name}_u{n_uavs}_p{n_particles}_{algorithm}_s{seed}"
+        geojson_path = maps_dir / f"{cell}.geojson" if maps_dir else None
+        try:
+            row = run_cell(instance, n_uavs, n_particles, algorithm, seed, spec, geojson_path)
+        except Exception:
+            log.exception("cell %s failed", cell)
+            continue
+        rows.append(row)
+        if progress:
+            print(f"{cell}: coverage={row.coverage:.2f} fitness={row.best_fitness}")
     summary = summarize(rows)
     if out_dir is not None:
         write_results_csv(rows, out_dir / "results.csv")
@@ -227,40 +229,19 @@ def run_experiment(
 def summarize(rows: list[ResultRow]) -> list[dict]:
     """Per-cell average and best coverage over seeds, in spec order."""
     cells: dict[tuple, list[float]] = {}
-    order: list[tuple] = []
     for row in rows:
-        key = (row.instance, row.n_uavs, row.n_particles, row.algorithm)
-        if key not in cells:
-            cells[key] = []
-            order.append(key)
-        cells[key].append(row.coverage)
-    out = []
-    for key in order:
-        scores = cells[key]
-        out.append(
-            {
-                "instance": key[0],
-                "n_uavs": key[1],
-                "n_particles": key[2],
-                "algorithm": key[3],
-                "avg": sum(scores) / len(scores),
-                "best": max(scores),
-            }
-        )
-    return out
+        cells.setdefault((row.instance, row.n_uavs, row.n_particles, row.algorithm), []).append(row.coverage)
+    return [
+        {**dict(zip(SUMMARY_COLUMNS, key)), "avg": sum(scores) / len(scores), "best": max(scores)}
+        for key, scores in cells.items()
+    ]
 
 
 def format_row(row: ResultRow) -> list[str]:
     """Deterministic CSV rendering (coverage fixed to 6 decimal places)."""
     return [
-        row.instance,
-        str(row.n_uavs),
-        str(row.n_particles),
-        row.algorithm,
-        str(row.seed),
-        f"{row.coverage:.6f}",
-        str(row.best_fitness),
-        f"{row.wall_time_ms:.3f}",
+        row.instance, str(row.n_uavs), str(row.n_particles), row.algorithm, str(row.seed),
+        f"{row.coverage:.6f}", str(row.best_fitness), f"{row.wall_time_ms:.3f}",
     ]
 
 
@@ -268,22 +249,14 @@ def write_results_csv(rows: list[ResultRow], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow(format_row(row))
+        writer.writerows(format_row(row) for row in rows)
 
 
 def write_summary_csv(summary: list[dict], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
-        for cell in summary:
-            writer.writerow(
-                [
-                    cell["instance"],
-                    str(cell["n_uavs"]),
-                    str(cell["n_particles"]),
-                    cell["algorithm"],
-                    f"{cell['avg']:.6f}",
-                    f"{cell['best']:.6f}",
-                ]
-            )
+        writer.writerows(
+            [c["instance"], str(c["n_uavs"]), str(c["n_particles"]), c["algorithm"], f"{c['avg']:.6f}", f"{c['best']:.6f}"]
+            for c in summary
+        )

@@ -13,6 +13,7 @@ with header ``step,lat,lon``.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -70,11 +71,25 @@ def load_external_forecast(path) -> list[GeoPoint]:
     return [rows[s] for s in steps]
 
 
+@functools.lru_cache(maxsize=256)
+def _linear_design(n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """``np.polyfit``'s scaled design matrix, column scale and rcond for a line through n points."""
+    lhs = np.vander(np.arange(n, dtype=float), 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    lhs.flags.writeable = scale.flags.writeable = False  # shared by every caller
+    return lhs, scale, n * np.finfo(float).eps
+
+
 def _linear_next(series: Sequence[float]) -> float:
-    """Least-squares linear fit over the whole series, extrapolated one step."""
+    """Least-squares linear fit over the whole series, extrapolated one step.
+
+    The arithmetic of ``np.polyfit(arange(n), series, 1)``, with the set-up
+    that depends only on n cached.
+    """
     n = len(series)
-    x = np.arange(n, dtype=float)
-    slope, intercept = np.polyfit(x, np.asarray(series, dtype=float), 1)
+    lhs, scale, rcond = _linear_design(n)
+    slope, intercept = np.linalg.lstsq(lhs, np.asarray(series, dtype=float), rcond)[0] / scale
     return float(slope * n + intercept)
 
 

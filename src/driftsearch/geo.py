@@ -81,6 +81,8 @@ def haversine_km(a: GeoPoint, b: GeoPoint, earth: EarthModel = EARTH) -> float:
 # Half a degree in radians. np.radians(x) / 2 == x * _HALF_RADIAN bit for bit:
 # np.radians multiplies by the same rounded pi / 180, and halving is exact.
 _HALF_RADIAN = np.radians(1.0) / 2.0
+# Relative widening of the pruning bounds in MidpointIndex.
+_PRUNE_MARGIN = 1e-6
 
 
 def haversine_km_arrays(lat1, lon1, lat2, lon2, earth: EarthModel = EARTH) -> np.ndarray:
@@ -89,6 +91,63 @@ def haversine_km_arrays(lat1, lon1, lat2, lon2, earth: EarthModel = EARTH) -> np
     half_dlam = np.subtract(lon2, lon1) * _HALF_RADIAN
     s = np.sin(half_dphi) ** 2 + np.cos(np.radians(lat1)) * np.cos(np.radians(lat2)) * np.sin(half_dlam) ** 2
     return 2.0 * earth.radius_km * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+
+
+class MidpointIndex:
+    """Latitude-sorted points that yield every query-point pair within reach.
+
+    :meth:`pairs` leaves a pair out only when a proven lower bound on its
+    haversine distance reaches ``reach_km`` widened by a relative margin far
+    larger than the rounding of the haversine and of the bounds, so measuring
+    the pairs it returns finds every pair closer than ``reach_km``:
+
+    * latitude: d >= R * |dphi|; a ``searchsorted`` band per query;
+    * longitude: d >= 2R * cos(phi_max) * sin(|dlam| / 2), where phi_max is
+      the most poleward latitude of any query or point. When the longitudes
+      span half a turn or more, ``dlam`` is reduced modulo 360 degrees first.
+      Longitudes are not wrapped, so the bound holds across the antimeridian.
+
+    Both bounds need latitudes within [-90, 90]; otherwise every pair is
+    returned. ``lat``/``lon`` hold the points in latitude order and ``order``
+    maps them back to the input order.
+    """
+
+    def __init__(self, lat: np.ndarray, lon: np.ndarray, reach_km: float, earth: EarthModel = EARTH):
+        self.order = np.argsort(lat, kind="stable")
+        self.lat, self.lon = lat[self.order], lon[self.order]
+        self.earth = earth
+        self._reach_km = reach_km * (1.0 + _PRUNE_MARGIN)
+        band_deg = math.degrees(self._reach_km / earth.radius_km)
+        self._band_deg = np.array([-band_deg, band_deg])
+        pole_deg = float(np.abs(lat).max())
+        self._pole_deg = pole_deg if pole_deg <= 90.0 else math.inf  # inf (or NaN) disables pruning
+        self._lon_range = (float(lon.min()), float(lon.max()))
+        self._ids = np.arange(len(lat))
+
+    def pairs(self, lat: np.ndarray, lon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (into the queries, into ``self.lat``) of the pairs to measure."""
+        n = len(lat)
+        lats = lat.tolist()
+        if not lats or not all(-90.0 <= x <= 90.0 for x in lats) or self._pole_deg > 90.0:
+            return np.arange(n).repeat(len(self._ids)), np.tile(self._ids, n)
+        # Latitude band: the sorted points [lo, hi) of each query, flattened.
+        bands = self.lat.searchsorted(np.add.outer(lat, self._band_deg)).tolist()
+        query = np.arange(n).repeat([hi - lo for lo, hi in bands])
+        point = np.concatenate([self._ids[lo:hi] for lo, hi in bands])
+        pole_deg = max(max(lats), -min(lats), self._pole_deg)
+        chord = 2.0 * self.earth.radius_km * math.cos(math.radians(pole_deg))
+        if chord > self._reach_km:
+            lon_deg = math.degrees(2.0 * math.asin(self._reach_km / chord)) * (1.0 + _PRUNE_MARGIN)
+            dlon = np.abs(self.lon[point] - lon[query])
+            lons = lon.tolist()
+            if max(self._lon_range[1], *lons) - min(self._lon_range[0], *lons) < 180.0:
+                near = dlon <= lon_deg
+            else:  # some |dlon| may exceed 180 degrees: reduce it modulo 360
+                dlon %= 360.0
+                near = (dlon <= lon_deg) | (dlon >= 360.0 - lon_deg)
+            near = near.nonzero()[0]
+            query, point = query[near], point[near]
+        return query, point
 
 
 def from_local(v: LocalVector, anchor: GeoPoint, earth: EarthModel = EARTH) -> GeoPoint:

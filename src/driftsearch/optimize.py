@@ -17,15 +17,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geo import EARTH, EarthModel, haversine_km_arrays, latlon_to_local, local_to_latlon
+from .geo import EARTH, EarthModel, MidpointIndex, haversine_km_arrays, latlon_to_local, local_to_latlon
 from .model import MAX_DETECTION_RADIUS_M, Deployment, radius_law
 from .repair import RepairConfig, repair_coords
 from .scenario import Scenario, SearchArea
 
 ALGORITHMS = ("random", "sa", "pso", "ga")
-# Relative widening of the fitness pruning bounds; far larger than the
-# rounding error of the haversine and of the bounds themselves.
-_PRUNE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -73,6 +70,10 @@ class OptimizerConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
         if self.n_uavs < 1 or self.budget_evals < 1:
             raise ValueError("n_uavs and budget_evals must be >= 1")
+        pop_size = {"ga": self.ga.pop_size, "pso": self.pso.pop_size}.get(self.algorithm, 1)
+        if self.budget_evals < pop_size:
+            # The first population is evaluated whole, so a smaller budget would be overspent.
+            raise ValueError(f"{self.algorithm} budget_evals {self.budget_evals} is below its pop_size {pop_size}")
         for rate in (self.ga.crossover_rate, self.ga.mutation_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError("GA rates must be in [0, 1]")
@@ -109,20 +110,11 @@ class FitnessEvaluator:
     segment counts as detected when its midpoint lies strictly inside at
     least one UAV disc. The instance also serves as the budget counter.
 
-    Midpoints are precomputed once per scenario and sorted by latitude. An
-    evaluation runs the exact haversine only on UAV-midpoint pairs that no
-    lower bound rules out, so it counts the same segments as the full
-    distance matrix. Two bounds, each widened by a relative margin that
-    absorbs rounding, prune a pair when they reach the largest disc radius:
-
-    * latitude: d >= R * |dphi|; a ``searchsorted`` band per UAV;
-    * longitude: d >= 2R * cos(phi_max) * sin(|dlam| / 2), where phi_max is
-      the most poleward latitude of any UAV or midpoint. When the longitudes
-      span half a turn or more, ``dlam`` is reduced modulo 360 degrees first.
-      Longitudes are not wrapped, so the bound holds across the antimeridian.
-
-    Both bounds need latitudes within [-90, 90]; otherwise every pair is
-    evaluated.
+    Midpoints are precomputed once per scenario into a
+    :class:`~driftsearch.geo.MidpointIndex` with the largest disc radius as
+    its reach. An evaluation runs the exact haversine only on the pairs the
+    index returns, which include every pair closer than any disc radius, so it
+    counts the same segments as the full distance matrix.
     """
 
     def __init__(self, scenario: Scenario, unit_m: float = 100.0, earth: EarthModel = EARTH):
@@ -143,60 +135,22 @@ class FitnessEvaluator:
         east = np.concatenate(mids_e)
         north = np.concatenate(mids_n)
         mid_lat, mid_lon = local_to_latlon(east, north, self.center, earth)
-        order = np.argsort(mid_lat, kind="stable")
-        self.mid_lat, self.mid_lon = mid_lat[order], mid_lon[order]
+        self.index = MidpointIndex(mid_lat, mid_lon, MAX_DETECTION_RADIUS_M / 1000.0, earth)
         self.total_segments = int(len(east))
         self.evals = 0
         # The center rides along as a last pseudo-midpoint, so one haversine
         # call yields both the UAV-center and the UAV-midpoint distances.
-        self._lat2 = np.append(self.mid_lat, self.center.lat)
-        self._lon2 = np.append(self.mid_lon, self.center.lon)
-        # Pairs at least this far apart (km) cannot be inside any disc.
-        self._reach_km = MAX_DETECTION_RADIUS_M / 1000.0 * (1.0 + _PRUNE_MARGIN)
-        band_deg = math.degrees(self._reach_km / earth.radius_km)
-        self._band_deg = np.array([-band_deg, band_deg])
-        pole_deg = float(np.abs(mid_lat).max())
-        self._mid_pole_deg = pole_deg if pole_deg <= 90.0 else math.inf  # inf (or NaN) disables pruning
-        self._mid_lon_range = (float(mid_lon.min()), float(mid_lon.max()))
-        self._mid_ids = np.arange(self.total_segments)
-
-    def _pairs(self, lat: np.ndarray, lon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays (into the UAVs, into the midpoints) of the pairs to measure.
-
-        The first n pairs are each UAV with the center (index ``total_segments``);
-        the rest are the UAV-midpoint pairs that no bound rules out.
-        """
-        n, m = len(lat), self.total_segments
-        uav_ids, center_ids = np.arange(n), np.full(n, m)
-        lats = lat.tolist()
-        if not lats or not all(-90.0 <= x <= 90.0 for x in lats) or self._mid_pole_deg > 90.0:
-            uav, mid = np.repeat(uav_ids, m), np.tile(self._mid_ids, n)
-            return np.concatenate([uav_ids, uav]), np.concatenate([center_ids, mid])
-        # Latitude band: the sorted midpoints [lo, hi) of each UAV, flattened.
-        bands = self.mid_lat.searchsorted(np.add.outer(lat, self._band_deg)).tolist()
-        uav = uav_ids.repeat([hi - lo for lo, hi in bands])
-        mid = np.concatenate([self._mid_ids[lo:hi] for lo, hi in bands])
-        pole_deg = max(max(lats), -min(lats), self._mid_pole_deg)
-        chord = 2.0 * self.earth.radius_km * math.cos(math.radians(pole_deg))
-        if chord > self._reach_km:
-            lon_deg = math.degrees(2.0 * math.asin(self._reach_km / chord)) * (1.0 + _PRUNE_MARGIN)
-            dlon = np.abs(self.mid_lon[mid] - lon[uav])
-            lons = lon.tolist()
-            if max(self._mid_lon_range[1], *lons) - min(self._mid_lon_range[0], *lons) < 180.0:
-                near = dlon <= lon_deg
-            else:  # some |dlon| may exceed 180 degrees: reduce it modulo 360
-                dlon %= 360.0
-                near = (dlon <= lon_deg) | (dlon >= 360.0 - lon_deg)
-            near = near.nonzero()[0]
-            uav, mid = uav[near], mid[near]
-        return np.concatenate([uav_ids, uav]), np.concatenate([center_ids, mid])
+        self._lat2 = np.append(self.index.lat, self.center.lat)
+        self._lon2 = np.append(self.index.lon, self.center.lon)
 
     def evaluate_coords(self, coords_km: np.ndarray) -> FitnessValue:
         self.evals += 1
         lat, lon = local_to_latlon(coords_km[:, 0], coords_km[:, 1], self.center, self.earth)
-        uav, mid = self._pairs(lat, lon)
-        d = haversine_km_arrays(lat[uav], lon[uav], self._lat2[mid], self._lon2[mid], self.earth)
         n = len(lat)
+        uav, mid = self.index.pairs(lat, lon)
+        uav = np.concatenate([np.arange(n), uav])
+        mid = np.concatenate([np.full(n, self.total_segments), mid])
+        d = haversine_km_arrays(lat[uav], lon[uav], self._lat2[mid], self._lon2[mid], self.earth)
         radii_m = radius_law(d[:n])
         inside = d[n:] * 1000.0 < radii_m[uav[n:]]
         detected = np.zeros(self.total_segments, dtype=bool)

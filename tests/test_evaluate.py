@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftsearch.evaluate import (
     EmptySlice,
     EvaluationConfig,
+    _segment_pods,
     coverage,
     literal_chain,
     monte_carlo_chain,
@@ -17,7 +18,7 @@ from driftsearch.evaluate import (
     segment_trajectory,
     survival_chain,
 )
-from driftsearch.geo import GeoPoint, haversine_km, haversine_km_arrays, latlon_to_local, local_to_latlon
+from driftsearch.geo import EARTH, GeoPoint, haversine_km, haversine_km_arrays, latlon_to_local, local_to_latlon
 from driftsearch.ingest import synthesize_track
 from driftsearch.model import MAX_DETECTION_RADIUS_M, Deployment, UavPosition
 from driftsearch.optimize import initialize
@@ -260,3 +261,36 @@ class TestSeedEquivalence:
         assert report.coverage == pytest.approx(seed_survival_chain(pods, 100), rel=1e-12, abs=1e-12)
         literal = coverage(dep, track, lo, hi, EvaluationConfig(unit_m=unit_m, literal_chain=True))
         assert literal.coverage == literal_chain(pods, 100)
+
+
+def dense_segment_pods(deployment, midpoints):
+    """Every UAV against every (lat, lon) midpoint row: the kernel the pruned one replaces."""
+    uav_lat, uav_lon = deployment.latlon()
+    radii_m = np.array([u.detection_radius_m for u in deployment.uavs])
+    pods = 1.0 - np.exp(-radii_m / MAX_DETECTION_RADIUS_M)
+    dist_m = haversine_km_arrays(uav_lat[:, None], uav_lon[:, None], midpoints[:, 0], midpoints[:, 1]) * 1000.0
+    return np.where(dist_m < radii_m[:, None], pods[:, None], 0.0).max(axis=0)
+
+
+class TestPrunedSegmentPods:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lat=st.floats(0.0, 80.0),
+        lon=st.one_of(st.floats(179.99, 180.0), st.floats(-180.0, -179.99), st.floats(-180.0, 180.0)),
+        track_seed=st.integers(0, 2**16),
+        unit_m=st.sampled_from([1.0, 25.0, 100.0]),
+        n_uavs=st.integers(1, 8),
+        spread_km=st.sampled_from([0.3, 1.0, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(lat=80.0, lon=179.995, track_seed=0, unit_m=1.0, n_uavs=8, spread_km=0.3, seed=0)
+    @example(lat=0.0, lon=-179.995, track_seed=4, unit_m=1.0, n_uavs=8, spread_km=3.0, seed=1)
+    def test_matches_dense_oracle(self, lat, lon, track_seed, unit_m, n_uavs, spread_km, seed):
+        # UAVs are drawn around the middle of the slice in a 1 km search area,
+        # so some sit outside it (and get the smallest disc).
+        track = synthesize_track(seed=track_seed, hours=6, start=GeoPoint(lat, lon), drift_kmh=0.5, turn_sigma=0.3)
+        midpoints = segment_trajectory(track, 0, 5, unit_m)
+        area = SearchArea(track.position(3), 1.0)
+        coords = np.random.default_rng(seed).normal(0.0, spread_km, size=(n_uavs, 2))
+        dep = Deployment.from_coords(coords, area)
+        assert np.array_equal(_segment_pods(dep, midpoints, EARTH), dense_segment_pods(dep, midpoints))

@@ -2,9 +2,11 @@
 
 import csv
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
+from driftsearch import experiment
 from driftsearch.experiment import (
     ExperimentSpec,
     ResultRow,
@@ -129,3 +131,12 @@ class TestFormatRow:
         cells = format_row(row)
         assert cells[5] == "12.345679"
         assert cells[6] == "42"
+
+
+def test_budget_parity_violation_names_the_cell(tiny_spec, monkeypatch):
+    # A runner that reports one evaluation short; the check is a raise, not an
+    # assert, so it also holds under python -O.
+    monkeypatch.setattr(experiment, "run", lambda scen, config: SimpleNamespace(evals_used=config.budget_evals - 1))
+    instance = tiny_spec.instances[0]
+    with pytest.raises(RuntimeError, match=rf"cell {instance.name} n=4 k=8 sa seed=1: 119 evaluations, budget 120"):
+        run_cell(instance, 4, 8, "sa", 1, tiny_spec)

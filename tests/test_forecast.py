@@ -3,13 +3,17 @@
 import math
 from datetime import timedelta
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftsearch.geo import GeoPoint, LocalVector, from_local, haversine_km
 from driftsearch.ingest import AccidentSpec, DrifterRecord, DrifterTrack, synthesize_track, _SYNTH_EPOCH
 from driftsearch.forecast import (
     InsufficientHistory,
     PredictorSpec,
+    _linear_next,
     benchmark_predictors,
     forecast_scenario,
     load_external_forecast,
@@ -168,3 +172,22 @@ class TestBenchmark:
     def test_needs_tracks(self):
         with pytest.raises(ValueError):
             benchmark_predictors([], [PredictorSpec("persistence")])
+
+
+class TestLinearNext:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.floats(-180.0, 180.0), min_size=2, max_size=40),
+            st.builds(
+                lambda start, step, noise: (start + step * np.arange(len(noise)) + np.asarray(noise)).tolist(),
+                st.floats(-90.0, 90.0),
+                st.floats(-0.1, 0.1),
+                st.lists(st.floats(-1e-4, 1e-4), min_size=2, max_size=40),
+            ),
+        )
+    )
+    def test_matches_polyfit(self, series):
+        n = len(series)
+        slope, intercept = np.polyfit(np.arange(n, dtype=float), np.asarray(series), 1)
+        assert _linear_next(series) == float(slope * n + intercept)

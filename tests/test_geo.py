@@ -12,6 +12,7 @@ from driftsearch.geo import (
     EarthModel,
     GeoPoint,
     LocalVector,
+    MidpointIndex,
     from_local,
     haversine_km,
     haversine_km_arrays,
@@ -182,3 +183,44 @@ class TestHaversineArraysBitForBit:
         assert haversine_km_arrays(lat1[0], lon1[0], lat2[0], lon2[0]) == seed_haversine_km(
             lat1[0], lon1[0], lat2[0], lon2[0]
         )
+
+
+class TestMidpointIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lat0=st.floats(-85.0, 85.0),
+        lon0=st.one_of(st.floats(-180.0, 180.0), st.floats(179.99, 180.0), st.floats(-180.0, -179.99)),
+        reach_km=st.floats(0.05, 5.0),
+        n_points=st.integers(1, 300),
+        n_queries=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_returns_every_pair_within_reach(self, lat0, lon0, reach_km, n_points, n_queries, seed):
+        # Points and queries scattered a few reaches around (lat0, lon0), with
+        # longitudes left unwrapped or wrapped across +-180 at random.
+        rng = np.random.default_rng(seed)
+        spread_deg = 3.0 * math.degrees(reach_km / EARTH.radius_km)
+        lat = np.clip(lat0 + rng.normal(0.0, spread_deg, n_points), -90.0, 90.0)
+        lon = lon0 + rng.normal(0.0, spread_deg / max(0.05, math.cos(math.radians(lat0))), n_points)
+        lon = np.where(rng.random(n_points) < 0.5, ((lon + 180.0) % 360.0) - 180.0, lon)
+        qlat = np.clip(lat0 + rng.normal(0.0, spread_deg, n_queries), -90.0, 90.0)
+        qlon = lon0 + rng.normal(0.0, spread_deg / max(0.05, math.cos(math.radians(lat0))), n_queries)
+        index = MidpointIndex(lat, lon, reach_km)
+        assert np.array_equal(index.lat, lat[index.order]) and np.array_equal(index.lon, lon[index.order])
+        query, point = index.pairs(qlat, qlon)
+        returned = set(zip(query.tolist(), index.order[point].tolist()))
+        assert len(returned) == len(query)
+        d = haversine_km_arrays(qlat[:, None], qlon[:, None], lat[None, :], lon[None, :])
+        within = set(zip(*(d < reach_km).nonzero()))
+        assert within <= returned
+
+    def test_prunes_far_pairs(self):
+        lat = np.linspace(34.0, 34.1, 1000)
+        index = MidpointIndex(lat, np.full(1000, 127.0), 0.6)
+        query, _ = index.pairs(np.array([34.05, 34.05]), np.array([127.0, 127.5]))
+        assert 0 < len(query) < 200 and set(query.tolist()) == {0}
+
+    def test_out_of_range_latitudes_return_all_pairs(self):
+        index = MidpointIndex(np.array([10.0, 20.0, 30.0]), np.zeros(3), 0.6)
+        query, point = index.pairs(np.array([10.0, 95.0]), np.zeros(2))
+        assert query.tolist() == [0, 0, 0, 1, 1, 1] and point.tolist() == [0, 1, 2, 0, 1, 2]

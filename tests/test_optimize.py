@@ -136,6 +136,30 @@ class TestRunners:
         assert recomputed.score == result.best_fitness.score
 
 
+class TestBudgetParity:
+    @pytest.mark.parametrize("algorithm", ["ga", "pso"])
+    @pytest.mark.parametrize("budget", [1, 49])
+    def test_budget_below_population_rejected(self, algorithm, budget):
+        with pytest.raises(ValueError, match="below its pop_size 50"):
+            OptimizerConfig(algorithm, n_uavs=3, budget_evals=budget)
+
+    @pytest.mark.parametrize("algorithm", ["random", "sa", "pso", "ga"])
+    @pytest.mark.parametrize("budget", [50, 51, 101, 149])
+    @pytest.mark.parametrize("n_uavs", [1, 7])
+    def test_every_algorithm_spends_exactly_its_budget(self, algorithm, budget, n_uavs, monkeypatch):
+        calls = []
+        original = FitnessEvaluator.evaluate_coords
+
+        def counted(self, coords_km):
+            calls.append(len(coords_km))
+            return original(self, coords_km)
+
+        monkeypatch.setattr(FitnessEvaluator, "evaluate_coords", counted)
+        result = run(small_scenario(), OptimizerConfig(algorithm, n_uavs=n_uavs, budget_evals=budget, seed=0))
+        assert result.evals_used == len(calls) == budget
+        assert set(calls) == {n_uavs}
+
+
 class TestRepairedAlgorithmsRespectOverlap:
     @pytest.mark.parametrize("algorithm", ["sa", "pso", "ga"])
     def test_no_overlap_in_final_answer(self, algorithm):
@@ -166,7 +190,7 @@ def dense_detected(ev: FitnessEvaluator, coords_km: np.ndarray) -> int:
     lat, lon = local_to_latlon(coords_km[:, 0], coords_km[:, 1], ev.center, ev.earth)
     d_center = seed_haversine_km(lat, lon, ev.center.lat, ev.center.lon)
     radii_m = np.clip(-200.0 * d_center + 600.0, 200.0, 600.0)
-    dist_m = seed_haversine_km(lat[:, None], lon[:, None], ev.mid_lat[None, :], ev.mid_lon[None, :]) * 1000.0
+    dist_m = seed_haversine_km(lat[:, None], lon[:, None], ev.index.lat[None, :], ev.index.lon[None, :]) * 1000.0
     return int((dist_m < radii_m[:, None]).any(axis=0).sum())
 
 
@@ -238,5 +262,5 @@ class TestPrunedFitness:
         dep = initialize(8, scen.area, 0)
         lat = np.array([u.position.lat for u in dep.uavs])
         lon = np.array([u.position.lon for u in dep.uavs])
-        uav, _ = ev._pairs(lat, lon)
-        assert len(uav) < 8 + 8 * ev.total_segments / 2
+        uav, _ = ev.index.pairs(lat, lon)
+        assert len(uav) < 8 * ev.total_segments / 2
