@@ -1,15 +1,24 @@
 """Score a deployment against the actual drifter trajectory.
 
 The trajectory between two track indices is discretized into unit-length
-segments, returned as an (m, 2) array of (lat, lon) midpoint rows. Each
-midpoint that falls inside a UAV disc is assigned that UAV's probability of
-detection (best disc wins when several cover it). The distances come from the
-same :class:`~driftsearch.geo.MidpointIndex` the fitness uses: only pairs it
-cannot rule out are measured, and a pair is ruled out only by a proven lower
-bound beyond the largest disc, so the PoDs equal the full distance matrix's
-bit for bit. The coverage score is the
-expected number of a cohort of K0 drifters detected when they traverse the
-segments in order and stop once detected:
+segments; :func:`segment_trajectory` returns their midpoints as an (m, 2)
+array of (lat, lon) rows. Each midpoint that falls inside a UAV disc is
+assigned that UAV's probability of detection (best disc wins when several
+cover it).
+
+Scoring is sparse. A leg of the slice is straight in the tangent plane at
+its start, so its midpoints' latitude and longitude are affine in arc length.
+Per (UAV, leg) the scorer solves the stretch outside which the proven bounds
+of :func:`~driftsearch.geo.pruning_windows` put every midpoint beyond the
+largest disc, widens it by two units (for rounding and for the shorter last
+segment) and builds and measures only the midpoints of that index range.
+UAV longitudes are reduced modulo 360 degrees; a bound that does not hold
+keeps the whole leg. Midpoints of any index come from one element-wise
+function, as do the haversine and the max, so the PoDs equal those of the
+full UAV x midpoint matrix bit for bit.
+
+The coverage score is the expected number of a cohort of K0 drifters
+detected when they traverse the segments in order and stop once detected:
 
     coverage = K0 * sum_i P_i * prod_{j<i} (1 - P_j) = K0 * (1 - prod_i (1 - P_i))
 
@@ -24,11 +33,11 @@ provides an independent check of the analytic score.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geo import EARTH, EarthModel, MidpointIndex, haversine_km, haversine_km_arrays, latlon_to_local, local_to_latlon
+from .geo import EARTH, EarthModel, haversine_km, haversine_km_arrays, latlon_to_local, local_to_latlon, pruning_windows
 from .model import Deployment, detection_pod
 from .ingest import DrifterTrack
 
@@ -52,8 +61,13 @@ class EvaluationConfig:
 
 @dataclass(frozen=True)
 class EvaluationReport:
+    """``segment_pods`` is a read-only float64 array of the best PoD per unit
+    segment in track order. The sparse scorer (module docstring) measures only
+    the midpoints its proven bounds keep, and its PoDs equal the dense UAV x
+    midpoint matrix's bit for bit. It is not part of ``==``."""
+
     coverage: float
-    segment_pods: tuple[float, ...]
+    segment_pods: np.ndarray = field(compare=False)
     detected_any: bool
     trajectory_length_km: float
 
@@ -63,7 +77,7 @@ class EvaluationReport:
 
     @property
     def n_covered(self) -> int:
-        return sum(1 for p in self.segment_pods if p > 0)
+        return int(np.count_nonzero(self.segment_pods))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -77,6 +91,36 @@ class EvaluationReport:
         )
 
 
+def _polyline(track: DrifterTrack, from_index: int, to_index: int, unit_m: float, earth: EarthModel) -> tuple:
+    """The slice in the tangent plane at its first record: (anchor, arc length
+    at each record in m, (east, north) record rows in m, unit_m, number of unit
+    segments), the last being one for a stationary slice."""
+    if not 0 <= from_index < to_index < len(track):
+        raise EmptySlice(f"invalid slice [{from_index}, {to_index}] for track of length {len(track)}")
+    anchor = track.position(from_index)
+    lat = np.array([track.position(i).lat for i in range(from_index, to_index + 1)])
+    lon = np.array([track.position(i).lon for i in range(from_index, to_index + 1)])
+    east, north = latlon_to_local(lat, lon, anchor, earth)
+    pts = np.column_stack([east, north]) * 1000.0  # meters
+    cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+    return anchor, cum, pts, unit_m, max(int(np.ceil(cum[-1] / unit_m)), 1)
+
+
+def _midpoints(line: tuple, k: np.ndarray, earth: EarthModel) -> tuple[np.ndarray, np.ndarray]:
+    """Latitudes and longitudes of the midpoints of unit segments ``k`` of a
+    :func:`_polyline`; element-wise, so no bit depends on the other indices."""
+    anchor, cum, pts, unit_m, _ = line
+    starts = k * unit_m
+    mids = (starts + np.minimum(starts + unit_m, cum[-1])) / 2.0  # the last segment may be shorter
+    # Interpolate midpoint arc-lengths back onto the polyline.
+    east_m = np.interp(mids, cum, pts[:, 0])
+    north_m = np.interp(mids, cum, pts[:, 1])
+    lat, lon = local_to_latlon(east_m / 1000.0, north_m / 1000.0, anchor, earth)
+    if np.abs(lon).max(initial=0.0) > 180.0:
+        lon = np.where((lon < -180.0) | (lon > 180.0), ((lon + 180.0) % 360.0) - 180.0, lon)
+    return lat, lon
+
+
 def segment_trajectory(
     track: DrifterTrack,
     from_index: int,
@@ -88,52 +132,46 @@ def segment_trajectory(
 
     The trajectory is the piecewise-linear path through the track records from
     `from_index` to `to_index`. Segments are `unit_m` long except the last,
-    which may be shorter. Returns an (m, 2) array of (lat, lon) rows;
-    longitudes outside [-180, 180] are wrapped as :class:`GeoPoint` does.
+    which may be shorter; a stationary slice is one segment at its start.
+    Returns an (m, 2) array of (lat, lon) rows; longitudes outside
+    [-180, 180] are wrapped as :class:`GeoPoint` does.
     """
-    if not 0 <= from_index < to_index < len(track):
-        raise EmptySlice(f"invalid slice [{from_index}, {to_index}] for track of length {len(track)}")
-    anchor = track.position(from_index)
-    lat = np.array([track.position(i).lat for i in range(from_index, to_index + 1)])
-    lon = np.array([track.position(i).lon for i in range(from_index, to_index + 1)])
-    east, north = latlon_to_local(lat, lon, anchor, earth)
-    pts = np.column_stack([east, north]) * 1000.0  # meters
-    seg_len = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    total = cum[-1]
-    if total <= 0:
-        # Stationary slice: a single degenerate segment at the start point.
-        return np.array([[anchor.lat, anchor.lon]])
-    n_units = int(np.ceil(total / unit_m))
-    starts = np.arange(n_units) * unit_m
-    ends = np.minimum(starts + unit_m, total)
-    mids = (starts + ends) / 2.0
-    # Interpolate midpoint arc-lengths back onto the polyline.
-    east_m = np.interp(mids, cum, pts[:, 0])
-    north_m = np.interp(mids, cum, pts[:, 1])
-    mid_lat, mid_lon = local_to_latlon(east_m / 1000.0, north_m / 1000.0, anchor, earth)
-    mid_lon = np.where((mid_lon < -180.0) | (mid_lon > 180.0), ((mid_lon + 180.0) % 360.0) - 180.0, mid_lon)
-    return np.column_stack([mid_lat, mid_lon])
+    line = _polyline(track, from_index, to_index, unit_m, earth)
+    return np.column_stack(_midpoints(line, np.arange(line[-1]), earth))
 
 
-def _segment_pods(deployment: Deployment, midpoints: np.ndarray, earth: EarthModel) -> np.ndarray:
-    """Best covering UAV's PoD per (lat, lon) midpoint row, 0 where uncovered.
-
-    The haversine runs only on the pairs a :class:`MidpointIndex` with the
-    largest disc radius as its reach returns; every pair it leaves out lies
-    outside every disc. The haversine is element-wise and a max is exact in
-    any order, so ``np.maximum.at`` over the covered pairs gives the PoDs of
-    the dense UAV x midpoint matrix bit for bit.
-    """
+def _segment_pods(deployment: Deployment, line: tuple, earth: EarthModel) -> np.ndarray:
+    """Best covering UAV's PoD per unit segment of a :func:`_polyline` (0 where
+    uncovered), by the sparse scorer of the module docstring."""
+    anchor, cum, pts, unit_m, n_units = line
     uav_lat, uav_lon = deployment.latlon()
     radii_m = np.array([u.detection_radius_m for u in deployment.uavs])
     reach_km = radii_m.max(initial=0.0, where=radii_m > 0) / 1000.0  # a NaN or negative radius covers nothing
-    index = MidpointIndex(midpoints[:, 0], midpoints[:, 1], reach_km, earth)
-    uav, mid = index.pairs(uav_lat, uav_lon)
-    dist_m = haversine_km_arrays(uav_lat[uav], uav_lon[uav], index.lat[mid], index.lon[mid], earth) * 1000.0
+    lat, lon = local_to_latlon(pts[:, 0] / 1000.0, pts[:, 1] / 1000.0, anchor, earth)  # unwrapped longitudes
+    band_deg, lon_deg = pruning_windows(reach_km, float(np.abs(np.append(lat, uav_lat)).max()), earth)
+    if lon.max() - lon.min() + lon_deg >= 180.0:  # the window might meet the slice again a turn away
+        lon_deg = np.inf
+    near_lon = anchor.lon + ((uav_lon - anchor.lon + 180.0) % 360.0 - 180.0)  # within half a turn of the anchor
+    # Fraction t of each (UAV, leg) inside both windows; a NaN bound (0 / 0) constrains nothing.
+    t_lo, t_hi = 0.0, 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for v, u, half in ((lat, uav_lat, band_deg), (lon, near_lon, lon_deg)):
+            c, step = u[:, None] - v[:-1], np.diff(v)
+            t1, t2 = (c - half) / step, (c + half) / step
+            t_lo, t_hi = np.fmax(t_lo, np.fmin(t1, t2)), np.fmin(t_hi, np.fmax(t1, t2))
+    keep = t_lo <= t_hi
+    uav, leg = keep.nonzero()
+    start, length = cum[leg], np.diff(cum)[leg]
+    # Indices whose nominal midpoint (k + 1/2) units lies within two units of the stretch.
+    first = np.ceil((start + t_lo[keep] * length) / unit_m - 2.5).clip(0, None).astype(int)
+    last = np.floor((start + t_hi[keep] * length) / unit_m + 1.5).clip(None, n_units - 1).astype(int)
+    counts = (last - first + 1).clip(0, None)
+    uav, k = uav.repeat(counts), np.arange(counts.sum()) + (first - counts.cumsum() + counts).repeat(counts)
+    mid_lat, mid_lon = _midpoints(line, k, earth)
+    dist_m = haversine_km_arrays(uav_lat[uav], uav_lon[uav], mid_lat, mid_lon, earth) * 1000.0
     covered = dist_m < radii_m[uav]
-    pods = np.zeros(len(midpoints))
-    np.maximum.at(pods, index.order[mid[covered]], detection_pod(radii_m)[uav[covered]])
+    pods = np.zeros(n_units)
+    np.maximum.at(pods, k[covered], detection_pod(radii_m)[uav[covered]])
     return pods
 
 
@@ -163,20 +201,15 @@ def coverage(
     earth: EarthModel = EARTH,
 ) -> EvaluationReport:
     """Evaluate how well a deployment covers the actual trajectory slice."""
-    midpoints = segment_trajectory(track, from_index, to_index, config.unit_m, earth)
-    pods = _segment_pods(deployment, midpoints, earth)
+    pods = _segment_pods(deployment, _polyline(track, from_index, to_index, config.unit_m, earth), earth)
+    pods.flags.writeable = False
     chain = literal_chain if config.literal_chain else survival_chain
     score = chain(pods, config.k0)
     length_km = sum(
         haversine_km(track.position(i), track.position(i + 1), earth)
         for i in range(from_index, to_index)
     )
-    return EvaluationReport(
-        coverage=score,
-        segment_pods=tuple(pods.tolist()),
-        detected_any=bool((pods > 0).any()),
-        trajectory_length_km=length_km,
-    )
+    return EvaluationReport(score, pods, bool(pods.any()), length_km)
 
 
 def monte_carlo_chain(pods: np.ndarray, k0: int, trials: int, seed: int) -> float:
@@ -212,6 +245,5 @@ def monte_carlo_coverage(
     earth: EarthModel = EARTH,
 ) -> float:
     """Simulated coverage; the oracle counterpart of :func:`coverage`."""
-    midpoints = segment_trajectory(track, from_index, to_index, config.unit_m, earth)
-    pods = _segment_pods(deployment, midpoints, earth)
+    pods = _segment_pods(deployment, _polyline(track, from_index, to_index, config.unit_m, earth), earth)
     return monte_carlo_chain(pods, config.k0, trials, seed)

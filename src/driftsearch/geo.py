@@ -81,7 +81,7 @@ def haversine_km(a: GeoPoint, b: GeoPoint, earth: EarthModel = EARTH) -> float:
 # Half a degree in radians. np.radians(x) / 2 == x * _HALF_RADIAN bit for bit:
 # np.radians multiplies by the same rounded pi / 180, and halving is exact.
 _HALF_RADIAN = np.radians(1.0) / 2.0
-# Relative widening of the pruning bounds in MidpointIndex.
+# Relative widening of the pruning bounds in pruning_windows.
 _PRUNE_MARGIN = 1e-6
 
 
@@ -93,32 +93,39 @@ def haversine_km_arrays(lat1, lon1, lat2, lon2, earth: EarthModel = EARTH) -> np
     return 2.0 * earth.radius_km * np.arcsin(np.minimum(1.0, np.sqrt(s)))
 
 
+def pruning_windows(reach_km: float, pole_deg: float, earth: EarthModel = EARTH) -> tuple[float, float]:
+    """Half-widths in degrees of the latitude and longitude windows outside
+    which two points with latitudes in [-pole_deg, pole_deg] are provably
+    farther apart than ``reach_km``: d >= R |dphi| and, with dlam reduced
+    modulo 360 degrees, d >= 2R cos(pole_deg) sin(|dlam| / 2). Both are widened
+    by a relative margin far above the rounding of the haversine and of the
+    bounds. A window is infinite where its bound cannot apply: the longitude
+    window when 2R cos(pole_deg) <= reach, both when pole_deg exceeds 90."""
+    if not pole_deg <= 90.0:
+        return math.inf, math.inf
+    reach_km *= 1.0 + _PRUNE_MARGIN
+    chord = 2.0 * earth.radius_km * math.cos(math.radians(pole_deg))
+    lon_deg = math.degrees(2.0 * math.asin(reach_km / chord)) * (1.0 + _PRUNE_MARGIN) if chord > reach_km else math.inf
+    return math.degrees(reach_km / earth.radius_km), lon_deg
+
+
 class MidpointIndex:
     """Latitude-sorted points that yield every query-point pair within reach.
 
-    :meth:`pairs` leaves a pair out only when a proven lower bound on its
-    haversine distance reaches ``reach_km`` widened by a relative margin far
-    larger than the rounding of the haversine and of the bounds, so measuring
-    the pairs it returns finds every pair closer than ``reach_km``:
-
-    * latitude: d >= R * |dphi|; a ``searchsorted`` band per query;
-    * longitude: d >= 2R * cos(phi_max) * sin(|dlam| / 2), where phi_max is
-      the most poleward latitude of any query or point. When the longitudes
-      span half a turn or more, ``dlam`` is reduced modulo 360 degrees first.
-      Longitudes are not wrapped, so the bound holds across the antimeridian.
-
-    Both bounds need latitudes within [-90, 90]; otherwise every pair is
-    returned. ``lat``/``lon`` hold the points in latitude order and ``order``
-    maps them back to the input order.
+    :meth:`pairs` leaves a pair out only when it lies outside one of the
+    :func:`pruning_windows` of ``reach_km``: a ``searchsorted`` latitude band
+    per query, then the longitude window, with ``dlam`` reduced modulo 360
+    degrees when the longitudes span half a turn or more (they are not
+    wrapped, so the bound holds across the antimeridian). Both need latitudes
+    within [-90, 90]; otherwise every pair is returned. ``lat``/``lon`` hold
+    the points in latitude order and ``order`` maps them back to input order.
     """
 
     def __init__(self, lat: np.ndarray, lon: np.ndarray, reach_km: float, earth: EarthModel = EARTH):
         self.order = np.argsort(lat, kind="stable")
         self.lat, self.lon = lat[self.order], lon[self.order]
         self.earth = earth
-        self._reach_km = reach_km * (1.0 + _PRUNE_MARGIN)
-        band_deg = math.degrees(self._reach_km / earth.radius_km)
-        self._band_deg = np.array([-band_deg, band_deg])
+        self._reach_km = reach_km
         pole_deg = float(np.abs(lat).max())
         self._pole_deg = pole_deg if pole_deg <= 90.0 else math.inf  # inf (or NaN) disables pruning
         self._lon_range = (float(lon.min()), float(lon.max()))
@@ -130,14 +137,12 @@ class MidpointIndex:
         lats = lat.tolist()
         if not lats or not all(-90.0 <= x <= 90.0 for x in lats) or self._pole_deg > 90.0:
             return np.arange(n).repeat(len(self._ids)), np.tile(self._ids, n)
+        band_deg, lon_deg = pruning_windows(self._reach_km, max(max(lats), -min(lats), self._pole_deg), self.earth)
         # Latitude band: the sorted points [lo, hi) of each query, flattened.
-        bands = self.lat.searchsorted(np.add.outer(lat, self._band_deg)).tolist()
+        bands = self.lat.searchsorted(np.add.outer(lat, (-band_deg, band_deg))).tolist()
         query = np.arange(n).repeat([hi - lo for lo, hi in bands])
         point = np.concatenate([self._ids[lo:hi] for lo, hi in bands])
-        pole_deg = max(max(lats), -min(lats), self._pole_deg)
-        chord = 2.0 * self.earth.radius_km * math.cos(math.radians(pole_deg))
-        if chord > self._reach_km:
-            lon_deg = math.degrees(2.0 * math.asin(self._reach_km / chord)) * (1.0 + _PRUNE_MARGIN)
+        if lon_deg < math.inf:
             dlon = np.abs(self.lon[point] - lon[query])
             lons = lon.tolist()
             if max(self._lon_range[1], *lons) - min(self._lon_range[0], *lons) < 180.0:

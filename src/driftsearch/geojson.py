@@ -104,8 +104,8 @@ def export_geojson(
         feats.append(_feature({"type": "LineString", "coordinates": coords}, role="trajectory"))
         if report is not None:
             midpoints = segment_trajectory(track, lo, hi, eval_unit_m, earth)
-            covered = [[lon, lat] for (lat, lon), p in zip(midpoints.tolist(), report.segment_pods) if p > 0]
-            if covered and len(midpoints) == report.n_segments:
+            if len(midpoints) == report.n_segments and report.n_covered:
+                covered = midpoints[report.segment_pods > 0, ::-1].tolist()
                 feats.append(
                     _feature({"type": "MultiPoint", "coordinates": covered}, role="covered-segments")
                 )

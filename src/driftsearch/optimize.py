@@ -210,7 +210,8 @@ def _blx_children(
     hi = np.maximum(a, b)
     spread = alpha * (hi - lo)
     low, high = lo - spread, hi + spread
-    return rng.uniform(low, high), rng.uniform(low, high)
+    u = rng.random((2, *low.shape))  # one draw: the stream and bits of two Generator.uniform calls
+    return low + (high - low) * u[0], low + (high - low) * u[1]
 
 
 def run_ga(scenario: Scenario, config: OptimizerConfig, earth: EarthModel = EARTH) -> OptimizationResult:

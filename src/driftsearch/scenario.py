@@ -55,6 +55,8 @@ class Scenario:
     sigma_km: float
 
     def __post_init__(self) -> None:
+        if not self.particles:
+            raise ValueError("a scenario needs at least one particle")
         if len(self.particles) != len(self.lines):
             raise ValueError("one candidate line per particle required")
         if self.sigma_km < 0:

@@ -1,6 +1,7 @@
 """Trajectory segmentation and the sequential-detection coverage score."""
 
 import math
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from driftsearch.evaluate import (
     EmptySlice,
     EvaluationConfig,
-    _segment_pods,
     coverage,
     literal_chain,
     monte_carlo_chain,
@@ -18,8 +18,8 @@ from driftsearch.evaluate import (
     segment_trajectory,
     survival_chain,
 )
-from driftsearch.geo import EARTH, GeoPoint, haversine_km, haversine_km_arrays, latlon_to_local, local_to_latlon
-from driftsearch.ingest import synthesize_track
+from driftsearch.geo import GeoPoint, haversine_km, haversine_km_arrays, latlon_to_local, local_to_latlon
+from driftsearch.ingest import DrifterRecord, DrifterTrack, synthesize_track
 from driftsearch.model import MAX_DETECTION_RADIUS_M, Deployment, UavPosition
 from driftsearch.optimize import initialize
 from driftsearch.scenario import SearchArea
@@ -168,6 +168,14 @@ class TestCoverage:
         expected = sum(haversine_km(t.position(i), t.position(i + 1)) for i in range(6, 12))
         assert report.trajectory_length_km == pytest.approx(expected)
 
+    def test_segment_pods_read_only_and_not_compared(self):
+        t = make_track()
+        dep = Deployment((UavPosition(t.position(9), 600.0),), SearchArea(t.position(9), 3.0))
+        report = coverage(dep, t, 6, 12)
+        assert report == coverage(dep, t, 6, 12) and report.n_covered > 0
+        with pytest.raises(ValueError):
+            report.segment_pods[0] = 1.0
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EvaluationConfig(unit_m=0.0)
@@ -255,7 +263,7 @@ class TestSeedEquivalence:
         dep = initialize(n_uavs, area, seed=case)
         pods = seed_segment_pods(dep, seed_segment_trajectory(track, lo, hi, unit_m))
         report = coverage(dep, track, lo, hi, EvaluationConfig(unit_m=unit_m))
-        assert report.segment_pods == tuple(float(p) for p in pods)
+        assert np.array_equal(report.segment_pods, pods)
         assert report.detected_any
         # The running product and the closed form differ only by rounding.
         assert report.coverage == pytest.approx(seed_survival_chain(pods, 100), rel=1e-12, abs=1e-12)
@@ -272,25 +280,79 @@ def dense_segment_pods(deployment, midpoints):
     return np.where(dist_m < radii_m[:, None], pods[:, None], 0.0).max(axis=0)
 
 
+def track_through(points):
+    """A track with one record an hour at the given positions; repeats make zero-length legs."""
+    t0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
+    return DrifterTrack("T", tuple(DrifterRecord(t0 + timedelta(hours=i), p) for i, p in enumerate(points)))
+
+
 class TestPrunedSegmentPods:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
-        lat=st.floats(0.0, 80.0),
+        lat=st.floats(-85.0, 85.0),
         lon=st.one_of(st.floats(179.99, 180.0), st.floats(-180.0, -179.99), st.floats(-180.0, 180.0)),
         track_seed=st.integers(0, 2**16),
+        repeats=st.lists(st.integers(0, 5), max_size=3),
+        stationary=st.sampled_from([False, False, False, True]),
         unit_m=st.sampled_from([1.0, 25.0, 100.0]),
         n_uavs=st.integers(1, 8),
-        spread_km=st.sampled_from([0.3, 1.0, 3.0]),
+        spread_km=st.sampled_from([0.3, 1.0, 3.0, 30.0]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(lat=80.0, lon=179.995, track_seed=0, unit_m=1.0, n_uavs=8, spread_km=0.3, seed=0)
-    @example(lat=0.0, lon=-179.995, track_seed=4, unit_m=1.0, n_uavs=8, spread_km=3.0, seed=1)
-    def test_matches_dense_oracle(self, lat, lon, track_seed, unit_m, n_uavs, spread_km, seed):
+    @example(lat=80.0, lon=179.995, track_seed=0, repeats=[], stationary=False, unit_m=1.0, n_uavs=8,
+             spread_km=0.3, seed=0)
+    @example(lat=0.0, lon=-179.995, track_seed=4, repeats=[], stationary=False, unit_m=1.0, n_uavs=8,
+             spread_km=3.0, seed=1)
+    @example(lat=-85.0, lon=179.999, track_seed=5, repeats=[0, 3, 3], stationary=False, unit_m=25.0, n_uavs=8,
+             spread_km=1.0, seed=2)
+    @example(lat=85.0, lon=-180.0, track_seed=6, repeats=[], stationary=True, unit_m=100.0, n_uavs=4,
+             spread_km=0.3, seed=3)
+    @example(lat=40.0, lon=10.0, track_seed=7, repeats=[2], stationary=False, unit_m=1.0, n_uavs=6,
+             spread_km=30.0, seed=4)
+    def test_matches_dense_oracle(self, lat, lon, track_seed, repeats, stationary, unit_m, n_uavs, spread_km, seed):
         # UAVs are drawn around the middle of the slice in a 1 km search area,
-        # so some sit outside it (and get the smallest disc).
-        track = synthesize_track(seed=track_seed, hours=6, start=GeoPoint(lat, lon), drift_kmh=0.5, turn_sigma=0.3)
-        midpoints = segment_trajectory(track, 0, 5, unit_m)
-        area = SearchArea(track.position(3), 1.0)
+        # so some sit outside it (and get the smallest disc); at a 30 km spread
+        # most are far from every midpoint.
+        base = synthesize_track(seed=track_seed, hours=6, start=GeoPoint(lat, lon), drift_kmh=0.5, turn_sigma=0.3)
+        points = [base.position(i) for i in range(len(base))]
+        for i in sorted(repeats, reverse=True):
+            points.insert(i, points[i])
+        if stationary:
+            points = points[:1] * 3
+        track, hi = track_through(points), len(points) - 1
         coords = np.random.default_rng(seed).normal(0.0, spread_km, size=(n_uavs, 2))
-        dep = Deployment.from_coords(coords, area)
-        assert np.array_equal(_segment_pods(dep, midpoints, EARTH), dense_segment_pods(dep, midpoints))
+        dep = Deployment.from_coords(coords, SearchArea(points[len(points) // 2], 1.0))
+        dense = dense_segment_pods(dep, segment_trajectory(track, 0, hi, unit_m))
+        for chain in (survival_chain, literal_chain):
+            config = EvaluationConfig(unit_m=unit_m, literal_chain=chain is literal_chain)
+            report = coverage(dep, track, 0, hi, config)
+            assert np.array_equal(report.segment_pods, dense)
+            assert report.n_segments == len(dense) and report.n_covered == np.count_nonzero(dense)
+            assert report.detected_any == dense.any()
+            assert report.coverage == chain(dense, 100)
+
+    @pytest.mark.parametrize("hi", [10, 11, 12])
+    @pytest.mark.parametrize("unit_m", [1.0, 25.0, 100.0])
+    def test_disc_at_slice_end(self, hi, unit_m):
+        # The last segment is shorter, so its midpoint lies before (k + 1/2) units.
+        track = make_track()
+        end = track.position(hi)
+        dep = Deployment((UavPosition(end, 200.0),), SearchArea(end, 2.0))
+        report = coverage(dep, track, 6, hi, EvaluationConfig(unit_m=unit_m))
+        assert report.segment_pods[-1] > 0
+        assert np.array_equal(report.segment_pods, dense_segment_pods(dep, segment_trajectory(track, 6, hi, unit_m)))
+
+    @pytest.mark.parametrize("points, uav", [
+        # The slice starts east of +180 and the UAV sits on it west of -180.
+        ([(10.0, 179.999), (10.0, -179.99), (10.01, -179.98)], (10.0, -179.995)),
+        # Near the pole the longitude window is 31 degrees wide, so with a 170
+        # degree slice the UAV is near it only one turn away.
+        ([(89.99, 0.0), (89.99, 170.0)], (89.99, -175.0)),
+    ])
+    def test_uav_a_turn_away(self, points, uav):
+        track = track_through([GeoPoint(*p) for p in points])
+        dep = Deployment((UavPosition(GeoPoint(*uav), 600.0),), SearchArea(GeoPoint(*uav), 2.0))
+        report = coverage(dep, track, 0, len(points) - 1)
+        assert report.detected_any
+        dense = dense_segment_pods(dep, segment_trajectory(track, 0, len(points) - 1, 1.0))
+        assert np.array_equal(report.segment_pods, dense)

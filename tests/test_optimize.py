@@ -14,6 +14,7 @@ from driftsearch.optimize import (
     FitnessEvaluator,
     FitnessValue,
     OptimizerConfig,
+    _blx_children,
     fitness,
     initialize,
     run,
@@ -86,6 +87,27 @@ class TestFitnessEvaluator:
         other = SearchArea(from_local(LocalVector(3000.0, -2000.0), scen.area.center), 1.0)
         assert fitness(dep, scen).score > 0
         assert fitness(Deployment(dep.uavs, other), scen) == fitness(dep, scen)
+
+
+def seed_blx_children(a, b, alpha, rng):
+    """Frozen copy of the crossover that drew each child with its own Generator.uniform call."""
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    spread = alpha * (hi - lo)
+    low, high = lo - spread, hi + spread
+    return rng.uniform(low, high), rng.uniform(low, high)
+
+
+class TestBlxChildren:
+    def test_matches_two_uniform_calls(self):
+        for seed in range(300):
+            parents = np.random.default_rng(seed).normal(0.0, 2.0, size=(2, 1 + seed % 8, 2))
+            alpha = (0.0, 0.3, 0.5)[seed % 3]
+            rng, frozen = np.random.default_rng(seed), np.random.default_rng(seed)
+            children = _blx_children(parents[0], parents[1], alpha, rng)
+            expected = seed_blx_children(parents[0], parents[1], alpha, frozen)
+            assert all(np.array_equal(c, e) for c, e in zip(children, expected))
+            assert rng.random() == frozen.random()
 
 
 class TestInitialize:

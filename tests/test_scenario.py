@@ -1,5 +1,7 @@
 """Search-area sizing, Gaussian particle sampling, candidate lines."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,13 @@ class TestBuildScenario:
         for a, b in zip(restored.particles, scen.particles):
             assert a.position.lat == pytest.approx(b.position.lat)
             assert a.position.lon == pytest.approx(b.position.lon)
+
+    def test_empty_particles_rejected(self):
+        _, _, scen = self.make()
+        doc = json.loads(scen.to_json())
+        doc["particles"] = []
+        with pytest.raises(ValueError, match="at least one particle"):
+            Scenario.from_json(json.dumps(doc))
 
     def test_mismatched_lines_rejected(self):
         _, _, scen = self.make()
