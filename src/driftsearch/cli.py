@@ -12,11 +12,11 @@ from pathlib import Path
 from . import __version__
 from .evaluate import EvaluationConfig, coverage, monte_carlo_coverage
 from .forecast import PredictorSpec, benchmark_predictors, forecast_scenario
-from .geo import EARTH, GeoPoint, haversine_km
+from .geo import GeoPoint, haversine_km
 from .geojson import export_geojson
 from .ingest import AccidentSpec, load_tracks, synthesize_track
 from .model import detection_pod, detection_radius_m
-from .optimize import OptimizerConfig, initialize, run
+from .optimize import ALGORITHMS, OptimizerConfig, initialize, run
 from .repair import RepairConfig, repair
 from .experiment import (
     ExperimentSpec,
@@ -127,6 +127,11 @@ def cmd_experiment(args) -> int:
             f"{cell['instance']} uavs={cell['n_uavs']} particles={cell['n_particles']} "
             f"{cell['algorithm']:<7} avg={cell['avg']:.2f} best={cell['best']:.2f}"
         )
+    grid = (spec.instances, spec.uav_counts, spec.particle_counts, spec.algorithms, spec.seeds)
+    failed = math.prod(map(len, grid)) - len(rows)
+    if failed:
+        print(f"{failed} of {failed + len(rows)} cells failed; see the log above", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -188,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="plan a single deployment and export GeoJSON")
     add_common(p)
-    p.add_argument("--algo", choices=["random", "sa", "pso", "ga"], default="ga")
+    p.add_argument("--algo", choices=ALGORITHMS, default="ga")
     p.add_argument("--uavs", type=int, default=6)
     p.add_argument("--particles", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -198,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run the full comparison grid")
     add_common(p)
     p.add_argument("--config", help="experiment spec JSON")
-    p.add_argument("--algo", nargs="*", choices=["random", "sa", "pso", "ga"])
+    p.add_argument("--algo", nargs="*", choices=ALGORITHMS)
     p.add_argument("--uavs", nargs="*", type=int)
     p.add_argument("--particles", nargs="*", type=int)
     p.add_argument("--seed", type=int)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geo import EARTH, EarthModel, haversine_km, haversine_km_arrays, latlon_to_local, local_to_latlon, pruning_windows
+from .geo import haversine_km, haversine_km_arrays, latlon_to_local, local_to_latlon, pruning_windows
 from .model import Deployment, detection_pod
 from .ingest import DrifterTrack
 
@@ -91,7 +91,7 @@ class EvaluationReport:
         )
 
 
-def _polyline(track: DrifterTrack, from_index: int, to_index: int, unit_m: float, earth: EarthModel) -> tuple:
+def _polyline(track: DrifterTrack, from_index: int, to_index: int, unit_m: float) -> tuple:
     """The slice in the tangent plane at its first record: (anchor, arc length
     at each record in m, (east, north) record rows in m, unit_m, number of unit
     segments), the last being one for a stationary slice."""
@@ -100,13 +100,13 @@ def _polyline(track: DrifterTrack, from_index: int, to_index: int, unit_m: float
     anchor = track.position(from_index)
     lat = np.array([track.position(i).lat for i in range(from_index, to_index + 1)])
     lon = np.array([track.position(i).lon for i in range(from_index, to_index + 1)])
-    east, north = latlon_to_local(lat, lon, anchor, earth)
+    east, north = latlon_to_local(lat, lon, anchor)
     pts = np.column_stack([east, north]) * 1000.0  # meters
     cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
     return anchor, cum, pts, unit_m, max(int(np.ceil(cum[-1] / unit_m)), 1)
 
 
-def _midpoints(line: tuple, k: np.ndarray, earth: EarthModel) -> tuple[np.ndarray, np.ndarray]:
+def _midpoints(line: tuple, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Latitudes and longitudes of the midpoints of unit segments ``k`` of a
     :func:`_polyline`; element-wise, so no bit depends on the other indices."""
     anchor, cum, pts, unit_m, _ = line
@@ -115,7 +115,7 @@ def _midpoints(line: tuple, k: np.ndarray, earth: EarthModel) -> tuple[np.ndarra
     # Interpolate midpoint arc-lengths back onto the polyline.
     east_m = np.interp(mids, cum, pts[:, 0])
     north_m = np.interp(mids, cum, pts[:, 1])
-    lat, lon = local_to_latlon(east_m / 1000.0, north_m / 1000.0, anchor, earth)
+    lat, lon = local_to_latlon(east_m / 1000.0, north_m / 1000.0, anchor)
     if np.abs(lon).max(initial=0.0) > 180.0:
         lon = np.where((lon < -180.0) | (lon > 180.0), ((lon + 180.0) % 360.0) - 180.0, lon)
     return lat, lon
@@ -126,7 +126,6 @@ def segment_trajectory(
     from_index: int,
     to_index: int,
     unit_m: float,
-    earth: EarthModel = EARTH,
 ) -> np.ndarray:
     """Ordered midpoints of unit-length segments along the actual trajectory.
 
@@ -136,19 +135,19 @@ def segment_trajectory(
     Returns an (m, 2) array of (lat, lon) rows; longitudes outside
     [-180, 180] are wrapped as :class:`GeoPoint` does.
     """
-    line = _polyline(track, from_index, to_index, unit_m, earth)
-    return np.column_stack(_midpoints(line, np.arange(line[-1]), earth))
+    line = _polyline(track, from_index, to_index, unit_m)
+    return np.column_stack(_midpoints(line, np.arange(line[-1])))
 
 
-def _segment_pods(deployment: Deployment, line: tuple, earth: EarthModel) -> np.ndarray:
+def _segment_pods(deployment: Deployment, line: tuple) -> np.ndarray:
     """Best covering UAV's PoD per unit segment of a :func:`_polyline` (0 where
     uncovered), by the sparse scorer of the module docstring."""
     anchor, cum, pts, unit_m, n_units = line
     uav_lat, uav_lon = deployment.latlon()
     radii_m = np.array([u.detection_radius_m for u in deployment.uavs])
     reach_km = radii_m.max(initial=0.0, where=radii_m > 0) / 1000.0  # a NaN or negative radius covers nothing
-    lat, lon = local_to_latlon(pts[:, 0] / 1000.0, pts[:, 1] / 1000.0, anchor, earth)  # unwrapped longitudes
-    band_deg, lon_deg = pruning_windows(reach_km, float(np.abs(np.append(lat, uav_lat)).max()), earth)
+    lat, lon = local_to_latlon(pts[:, 0] / 1000.0, pts[:, 1] / 1000.0, anchor)  # unwrapped longitudes
+    band_deg, lon_deg = pruning_windows(reach_km, float(np.abs(np.append(lat, uav_lat)).max()))
     if lon.max() - lon.min() + lon_deg >= 180.0:  # the window might meet the slice again a turn away
         lon_deg = np.inf
     near_lon = anchor.lon + ((uav_lon - anchor.lon + 180.0) % 360.0 - 180.0)  # within half a turn of the anchor
@@ -167,8 +166,8 @@ def _segment_pods(deployment: Deployment, line: tuple, earth: EarthModel) -> np.
     last = np.floor((start + t_hi[keep] * length) / unit_m + 1.5).clip(None, n_units - 1).astype(int)
     counts = (last - first + 1).clip(0, None)
     uav, k = uav.repeat(counts), np.arange(counts.sum()) + (first - counts.cumsum() + counts).repeat(counts)
-    mid_lat, mid_lon = _midpoints(line, k, earth)
-    dist_m = haversine_km_arrays(uav_lat[uav], uav_lon[uav], mid_lat, mid_lon, earth) * 1000.0
+    mid_lat, mid_lon = _midpoints(line, k)
+    dist_m = haversine_km_arrays(uav_lat[uav], uav_lon[uav], mid_lat, mid_lon) * 1000.0
     covered = dist_m < radii_m[uav]
     pods = np.zeros(n_units)
     np.maximum.at(pods, k[covered], detection_pod(radii_m)[uav[covered]])
@@ -198,15 +197,14 @@ def coverage(
     from_index: int,
     to_index: int,
     config: EvaluationConfig = EvaluationConfig(),
-    earth: EarthModel = EARTH,
 ) -> EvaluationReport:
     """Evaluate how well a deployment covers the actual trajectory slice."""
-    pods = _segment_pods(deployment, _polyline(track, from_index, to_index, config.unit_m, earth), earth)
+    pods = _segment_pods(deployment, _polyline(track, from_index, to_index, config.unit_m))
     pods.flags.writeable = False
     chain = literal_chain if config.literal_chain else survival_chain
     score = chain(pods, config.k0)
     length_km = sum(
-        haversine_km(track.position(i), track.position(i + 1), earth)
+        haversine_km(track.position(i), track.position(i + 1))
         for i in range(from_index, to_index)
     )
     return EvaluationReport(score, pods, bool(pods.any()), length_km)
@@ -242,8 +240,7 @@ def monte_carlo_coverage(
     config: EvaluationConfig = EvaluationConfig(),
     trials: int = 10_000,
     seed: int = 0,
-    earth: EarthModel = EARTH,
 ) -> float:
     """Simulated coverage; the oracle counterpart of :func:`coverage`."""
-    pods = _segment_pods(deployment, _polyline(track, from_index, to_index, config.unit_m, earth), earth)
+    pods = _segment_pods(deployment, _polyline(track, from_index, to_index, config.unit_m))
     return monte_carlo_chain(pods, config.k0, trials, seed)

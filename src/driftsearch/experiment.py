@@ -24,7 +24,7 @@ from .forecast import PredictorSpec, forecast_scenario
 from .geo import GeoPoint
 from .geojson import export_geojson
 from .ingest import AccidentSpec, DrifterTrack, synthesize_track
-from .optimize import OptimizerConfig, run
+from .optimize import ALGORITHMS, OptimizerConfig, run
 from .repair import RepairConfig
 from .scenario import (
     DEFAULT_RADIUS_FLOOR_KM,
@@ -35,7 +35,7 @@ from .scenario import (
 
 log = logging.getLogger(__name__)
 
-DEFAULT_ALGORITHMS = ("random", "sa", "pso", "ga")
+DEFAULT_ALGORITHMS = ALGORITHMS
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 DEFAULT_UAV_COUNTS = (6, 8)
 DEFAULT_PARTICLE_COUNTS = (10, 15)

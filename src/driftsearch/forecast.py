@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geo import EARTH, EarthModel, GeoPoint, haversine_km
+from .geo import GeoPoint, haversine_km
 from .ingest import AccidentSpec, DrifterTrack
 
 PREDICTOR_KINDS = ("persistence", "linear-extrapolation", "external-file")
@@ -141,7 +141,6 @@ def forecast_scenario(
     spec: AccidentSpec,
     predictor: PredictorSpec,
     context_start: int = 0,
-    earth: EarthModel = EARTH,
 ) -> Forecast:
     """Predict the position at the planning horizon and measure last-step error.
 
@@ -155,7 +154,7 @@ def forecast_scenario(
     predicted = predictions[horizon - 1]
     if horizon >= 2:
         truth_prev = track.position(spec.accident_index + horizon - 1)
-        error_km = haversine_km(predictions[horizon - 2], truth_prev, earth)
+        error_km = haversine_km(predictions[horizon - 2], truth_prev)
     else:
         # One-step horizon: the "previous step" is the accident observation itself.
         error_km = 0.0
@@ -168,7 +167,6 @@ def benchmark_predictors(
     specs: Sequence[PredictorSpec],
     horizon: int = 6,
     accident_index: int | None = None,
-    earth: EarthModel = EARTH,
 ) -> list[tuple[PredictorSpec, float]]:
     """Mean haversine prediction error (km) per predictor over all tracks.
 
@@ -184,6 +182,6 @@ def benchmark_predictors(
             idx = accident_index if accident_index is not None else len(track) - 1 - horizon
             predictions = predict_recursive(track, idx, horizon, spec)
             for k, pred in enumerate(predictions, start=1):
-                errors.append(haversine_km(pred, track.position(idx + k), earth))
+                errors.append(haversine_km(pred, track.position(idx + k)))
         results.append((spec, float(np.mean(errors))))
     return results

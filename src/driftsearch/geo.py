@@ -5,6 +5,7 @@ discretization) mixes great-circle distances with planar vector arithmetic.
 The convention here: distances are haversine, vectors live in an
 equirectangular tangent plane anchored at a reference point. At the scales
 this toolkit targets (well under 50 km) the projection error is negligible.
+The earth is a fixed sphere of radius :data:`EARTH_RADIUS_KM` (6371 km).
 """
 
 from __future__ import annotations
@@ -14,26 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MEAN_EARTH_RADIUS_KM = 6371.0
-
-
-@dataclass(frozen=True)
-class EarthModel:
-    """Spherical earth with a fixed mean radius in kilometers."""
-
-    radius_km: float = MEAN_EARTH_RADIUS_KM
-
-    def __post_init__(self) -> None:
-        if not (self.radius_km > 0):
-            raise ValueError(f"earth radius must be positive, got {self.radius_km}")
-
-    @property
-    def meters_per_degree(self) -> float:
-        """Arc length of one degree of latitude, in meters."""
-        return self.radius_km * 1000.0 * math.pi / 180.0
-
-
-EARTH = EarthModel()
+EARTH_RADIUS_KM = 6371.0
+# Arc length of one degree of latitude, in meters.
+METERS_PER_DEGREE = EARTH_RADIUS_KM * 1000.0 * math.pi / 180.0
 
 
 @dataclass(frozen=True)
@@ -68,14 +52,14 @@ class LocalVector:
             raise ValueError(f"non-finite local vector ({self.east_m}, {self.north_m})")
 
 
-def haversine_km(a: GeoPoint, b: GeoPoint, earth: EarthModel = EARTH) -> float:
+def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points in kilometers."""
     phi1 = math.radians(a.lat)
     phi2 = math.radians(b.lat)
     dphi = math.radians(b.lat - a.lat)
     dlam = math.radians(b.lon - a.lon)
     s = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * earth.radius_km * math.asin(min(1.0, math.sqrt(s)))
+    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
 
 
 # Half a degree in radians. np.radians(x) / 2 == x * _HALF_RADIAN bit for bit:
@@ -85,15 +69,15 @@ _HALF_RADIAN = np.radians(1.0) / 2.0
 _PRUNE_MARGIN = 1e-6
 
 
-def haversine_km_arrays(lat1, lon1, lat2, lon2, earth: EarthModel = EARTH) -> np.ndarray:
+def haversine_km_arrays(lat1, lon1, lat2, lon2) -> np.ndarray:
     """Vectorized haversine over degree arrays; broadcasts like numpy."""
     half_dphi = np.subtract(lat2, lat1) * _HALF_RADIAN
     half_dlam = np.subtract(lon2, lon1) * _HALF_RADIAN
     s = np.sin(half_dphi) ** 2 + np.cos(np.radians(lat1)) * np.cos(np.radians(lat2)) * np.sin(half_dlam) ** 2
-    return 2.0 * earth.radius_km * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
 
 
-def pruning_windows(reach_km: float, pole_deg: float, earth: EarthModel = EARTH) -> tuple[float, float]:
+def pruning_windows(reach_km: float, pole_deg: float) -> tuple[float, float]:
     """Half-widths in degrees of the latitude and longitude windows outside
     which two points with latitudes in [-pole_deg, pole_deg] are provably
     farther apart than ``reach_km``: d >= R |dphi| and, with dlam reduced
@@ -104,9 +88,9 @@ def pruning_windows(reach_km: float, pole_deg: float, earth: EarthModel = EARTH)
     if not pole_deg <= 90.0:
         return math.inf, math.inf
     reach_km *= 1.0 + _PRUNE_MARGIN
-    chord = 2.0 * earth.radius_km * math.cos(math.radians(pole_deg))
+    chord = 2.0 * EARTH_RADIUS_KM * math.cos(math.radians(pole_deg))
     lon_deg = math.degrees(2.0 * math.asin(reach_km / chord)) * (1.0 + _PRUNE_MARGIN) if chord > reach_km else math.inf
-    return math.degrees(reach_km / earth.radius_km), lon_deg
+    return math.degrees(reach_km / EARTH_RADIUS_KM), lon_deg
 
 
 class MidpointIndex:
@@ -121,10 +105,9 @@ class MidpointIndex:
     the points in latitude order and ``order`` maps them back to input order.
     """
 
-    def __init__(self, lat: np.ndarray, lon: np.ndarray, reach_km: float, earth: EarthModel = EARTH):
+    def __init__(self, lat: np.ndarray, lon: np.ndarray, reach_km: float):
         self.order = np.argsort(lat, kind="stable")
         self.lat, self.lon = lat[self.order], lon[self.order]
-        self.earth = earth
         self._reach_km = reach_km
         pole_deg = float(np.abs(lat).max())
         self._pole_deg = pole_deg if pole_deg <= 90.0 else math.inf  # inf (or NaN) disables pruning
@@ -137,7 +120,7 @@ class MidpointIndex:
         lats = lat.tolist()
         if not lats or not all(-90.0 <= x <= 90.0 for x in lats) or self._pole_deg > 90.0:
             return np.arange(n).repeat(len(self._ids)), np.tile(self._ids, n)
-        band_deg, lon_deg = pruning_windows(self._reach_km, max(max(lats), -min(lats), self._pole_deg), self.earth)
+        band_deg, lon_deg = pruning_windows(self._reach_km, max(max(lats), -min(lats), self._pole_deg))
         # Latitude band: the sorted points [lo, hi) of each query, flattened.
         bands = self.lat.searchsorted(np.add.outer(lat, (-band_deg, band_deg))).tolist()
         query = np.arange(n).repeat([hi - lo for lo, hi in bands])
@@ -155,29 +138,28 @@ class MidpointIndex:
         return query, point
 
 
-def from_local(v: LocalVector, anchor: GeoPoint, earth: EarthModel = EARTH) -> GeoPoint:
+def from_local(v: LocalVector, anchor: GeoPoint) -> GeoPoint:
     """Place a tangent-plane displacement from `anchor` back on the sphere."""
-    mpd = earth.meters_per_degree
-    lat = anchor.lat + v.north_m / mpd
-    lon = anchor.lon + v.east_m / (mpd * math.cos(math.radians(anchor.lat)))
+    lat = anchor.lat + v.north_m / METERS_PER_DEGREE
+    lon = anchor.lon + v.east_m / (METERS_PER_DEGREE * math.cos(math.radians(anchor.lat)))
     return GeoPoint(lat, lon)
 
 
-def local_to_latlon(east_km, north_km, anchor: GeoPoint, earth: EarthModel = EARTH):
+def local_to_latlon(east_km, north_km, anchor: GeoPoint):
     """Array version of :func:`from_local`; inputs in km, outputs degree arrays."""
-    mpd_km = earth.meters_per_degree / 1000.0
+    mpd_km = METERS_PER_DEGREE / 1000.0
     lat = anchor.lat + np.asarray(north_km) / mpd_km
     lon = anchor.lon + np.asarray(east_km) / (mpd_km * math.cos(math.radians(anchor.lat)))
     return lat, lon
 
 
-def latlon_to_local(lat, lon, anchor: GeoPoint, earth: EarthModel = EARTH):
+def latlon_to_local(lat, lon, anchor: GeoPoint):
     """Project degree arrays into the tangent plane anchored at `anchor`.
 
     Outputs (east_km, north_km); the longitude difference is wrapped into
     [-180, 180) first. Inverse of :func:`local_to_latlon`.
     """
-    mpd_km = earth.meters_per_degree / 1000.0
+    mpd_km = METERS_PER_DEGREE / 1000.0
     dlon = ((np.asarray(lon) - anchor.lon + 180.0) % 360.0) - 180.0
     east = dlon * math.cos(math.radians(anchor.lat)) * mpd_km
     north = (np.asarray(lat) - anchor.lat) * mpd_km

@@ -6,7 +6,7 @@ import json
 import math
 
 from .evaluate import EvaluationReport, segment_trajectory
-from .geo import EARTH, EarthModel, GeoPoint, LocalVector, from_local
+from .geo import GeoPoint, LocalVector, from_local
 from .ingest import DrifterTrack
 from .model import Deployment
 from .scenario import Scenario
@@ -16,13 +16,13 @@ def _coord(p: GeoPoint) -> list[float]:
     return [p.lon, p.lat]
 
 
-def circle_ring(center: GeoPoint, radius_km: float, n: int = 64, earth: EarthModel = EARTH) -> list[list[float]]:
+def circle_ring(center: GeoPoint, radius_km: float, n: int = 64) -> list[list[float]]:
     """Closed polygon ring approximating a haversine circle."""
     ring = []
     for i in range(n):
         angle = 2.0 * math.pi * i / n
         v = LocalVector(radius_km * 1000.0 * math.cos(angle), radius_km * 1000.0 * math.sin(angle))
-        ring.append(_coord(from_local(v, center, earth)))
+        ring.append(_coord(from_local(v, center)))
     ring.append(ring[0])
     return ring
 
@@ -31,12 +31,12 @@ def _feature(geometry: dict, **properties) -> dict:
     return {"type": "Feature", "geometry": geometry, "properties": properties}
 
 
-def scenario_features(scenario: Scenario, earth: EarthModel = EARTH) -> list[dict]:
+def scenario_features(scenario: Scenario) -> list[dict]:
     feats = [
         _feature({"type": "Point", "coordinates": _coord(scenario.accident)}, role="accident"),
         _feature({"type": "Point", "coordinates": _coord(scenario.area.center)}, role="center"),
         _feature(
-            {"type": "Polygon", "coordinates": [circle_ring(scenario.area.center, scenario.area.radius_km, earth=earth)]},
+            {"type": "Polygon", "coordinates": [circle_ring(scenario.area.center, scenario.area.radius_km)]},
             role="search-area",
             radius_km=scenario.area.radius_km,
         ),
@@ -54,7 +54,7 @@ def scenario_features(scenario: Scenario, earth: EarthModel = EARTH) -> list[dic
     return feats
 
 
-def deployment_features(deployment: Deployment, earth: EarthModel = EARTH) -> list[dict]:
+def deployment_features(deployment: Deployment) -> list[dict]:
     feats = []
     for uav in deployment.uavs:
         feats.append(
@@ -69,7 +69,7 @@ def deployment_features(deployment: Deployment, earth: EarthModel = EARTH) -> li
             _feature(
                 {
                     "type": "Polygon",
-                    "coordinates": [circle_ring(uav.position, uav.detection_radius_m / 1000.0, earth=earth)],
+                    "coordinates": [circle_ring(uav.position, uav.detection_radius_m / 1000.0)],
                 },
                 role="uav-disc",
                 detection_radius_m=uav.detection_radius_m,
@@ -87,7 +87,6 @@ def export_geojson(
     track_slice: tuple[int, int] | None = None,
     report: EvaluationReport | None = None,
     eval_unit_m: float = 1.0,
-    earth: EarthModel = EARTH,
 ) -> dict:
     """Write a FeatureCollection for map inspection; returns the document.
 
@@ -95,15 +94,15 @@ def export_geojson(
     actual trajectory when a track slice is given, and the covered segment
     midpoints when an evaluation report is given alongside it.
     """
-    feats = scenario_features(scenario, earth)
+    feats = scenario_features(scenario)
     if deployment is not None:
-        feats.extend(deployment_features(deployment, earth))
+        feats.extend(deployment_features(deployment))
     if track is not None and track_slice is not None:
         lo, hi = track_slice
         coords = [_coord(track.position(i)) for i in range(lo, hi + 1)]
         feats.append(_feature({"type": "LineString", "coordinates": coords}, role="trajectory"))
         if report is not None:
-            midpoints = segment_trajectory(track, lo, hi, eval_unit_m, earth)
+            midpoints = segment_trajectory(track, lo, hi, eval_unit_m)
             if len(midpoints) == report.n_segments and report.n_covered:
                 covered = midpoints[report.segment_pods > 0, ::-1].tolist()
                 feats.append(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Optional
 
-from .geo import EARTH, GeoPoint, LocalVector, from_local
+from .geo import GeoPoint, LocalVector, from_local
 
 log = logging.getLogger(__name__)
 
@@ -194,6 +194,6 @@ def synthesize_track(
         heading += rng.gauss(0.0, turn_sigma)
         step_m = drift_kmh * 1000.0
         vec = LocalVector(step_m * math.cos(heading), step_m * math.sin(heading))
-        pos = from_local(vec, pos, EARTH)
+        pos = from_local(vec, pos)
         records.append(DrifterRecord(timestamp=_SYNTH_EPOCH + timedelta(hours=h), position=pos))
     return DrifterTrack(track_id or f"synthetic-{seed}", tuple(records))

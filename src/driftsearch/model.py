@@ -7,7 +7,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .geo import EARTH, EarthModel, GeoPoint, haversine_km, latlon_to_local, local_to_latlon
+from .geo import GeoPoint, haversine_km, latlon_to_local, local_to_latlon
 from .scenario import SearchArea
 
 MAX_DETECTION_RADIUS_M = 600.0
@@ -27,9 +27,9 @@ def radius_law(d_km):
     return np.minimum(np.maximum(raw, MIN_DETECTION_RADIUS_M), MAX_DETECTION_RADIUS_M)
 
 
-def detection_radius_m(uav_pos: GeoPoint, center: GeoPoint, earth: EarthModel = EARTH) -> float:
+def detection_radius_m(uav_pos: GeoPoint, center: GeoPoint) -> float:
     """Effective detection radius for a UAV placed at `uav_pos` (see :func:`radius_law`)."""
-    return float(radius_law(haversine_km(uav_pos, center, earth)))
+    return float(radius_law(haversine_km(uav_pos, center)))
 
 
 def detection_pod(radius_m):
@@ -49,18 +49,18 @@ class UavPosition:
     detection_radius_m: float
 
     @classmethod
-    def place(cls, position: GeoPoint, center: GeoPoint, earth: EarthModel = EARTH) -> "UavPosition":
+    def place(cls, position: GeoPoint, center: GeoPoint) -> "UavPosition":
         """Place a UAV and derive its radius from the distance to `center`."""
-        return cls(position, detection_radius_m(position, center, earth))
+        return cls(position, detection_radius_m(position, center))
 
     @property
     def pod(self) -> float:
         return float(detection_pod(self.detection_radius_m))
 
 
-def covers(uav: UavPosition, p: GeoPoint, earth: EarthModel = EARTH) -> bool:
+def covers(uav: UavPosition, p: GeoPoint) -> bool:
     """True iff `p` lies strictly inside the UAV's detection disc."""
-    return haversine_km(uav.position, p, earth) * 1000.0 < uav.detection_radius_m
+    return haversine_km(uav.position, p) * 1000.0 < uav.detection_radius_m
 
 
 @dataclass(frozen=True)
@@ -75,20 +75,16 @@ class Deployment:
             raise ValueError("deployment needs at least one UAV")
 
     @classmethod
-    def from_points(
-        cls, points: Iterable[GeoPoint], area: SearchArea, earth: EarthModel = EARTH
-    ) -> "Deployment":
+    def from_points(cls, points: Iterable[GeoPoint], area: SearchArea) -> "Deployment":
         """Build a deployment, deriving every detection radius from `area.center`."""
-        uavs = tuple(UavPosition.place(p, area.center, earth) for p in points)
+        uavs = tuple(UavPosition.place(p, area.center) for p in points)
         return cls(uavs, area)
 
     @classmethod
-    def from_coords(
-        cls, coords_km: np.ndarray, area: SearchArea, earth: EarthModel = EARTH
-    ) -> "Deployment":
+    def from_coords(cls, coords_km: np.ndarray, area: SearchArea) -> "Deployment":
         """Build a deployment from (n, 2) local-plane km rows anchored at `area.center`."""
-        lat, lon = local_to_latlon(coords_km[:, 0], coords_km[:, 1], area.center, earth)
-        return cls.from_points(map(GeoPoint, lat.tolist(), lon.tolist()), area, earth)
+        lat, lon = local_to_latlon(coords_km[:, 0], coords_km[:, 1], area.center)
+        return cls.from_points(map(GeoPoint, lat.tolist(), lon.tolist()), area)
 
     def latlon(self) -> tuple[np.ndarray, np.ndarray]:
         """UAV latitudes and longitudes as two degree arrays."""
@@ -96,9 +92,9 @@ class Deployment:
         lon = np.array([u.position.lon for u in self.uavs])
         return lat, lon
 
-    def coords_km(self, earth: EarthModel = EARTH) -> np.ndarray:
+    def coords_km(self) -> np.ndarray:
         """UAV positions as (n, 2) local-plane km rows anchored at `area.center`."""
-        east, north = latlon_to_local(*self.latlon(), self.area.center, earth)
+        east, north = latlon_to_local(*self.latlon(), self.area.center)
         return np.column_stack([east, north])
 
     def __len__(self) -> int:

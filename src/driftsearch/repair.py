@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geo import EARTH, EarthModel, GeoPoint, haversine_km_arrays, local_to_latlon
+from .geo import GeoPoint, haversine_km_arrays, local_to_latlon
 from .model import Deployment, radius_law
 
 # Fixed seed for the tie-break jitter applied to exactly coincident UAVs;
@@ -55,21 +55,21 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _distances(lat: np.ndarray, lon: np.ndarray, earth: EarthModel):
+def _distances(lat: np.ndarray, lon: np.ndarray):
     """Distances from the first n points to the last one, the center (n,), and
     between the first n (n, n), from one haversine call."""
-    d = haversine_km_arrays(lat[:-1, None], lon[:-1, None], lat, lon, earth)
+    d = haversine_km_arrays(lat[:-1, None], lon[:-1, None], lat, lon)
     return d[:, -1], d[:, :-1]
 
 
-def _geometry(padded_km: np.ndarray, center: GeoPoint, earth: EarthModel):
+def _geometry(padded_km: np.ndarray, center: GeoPoint):
     """:func:`_distances` of local-plane UAV rows followed by a zero row.
 
     The zero row maps to the center's exact lat/lon, so the hot path needs no
     append.
     """
-    lat, lon = local_to_latlon(padded_km[:, 0], padded_km[:, 1], center, earth)
-    return _distances(lat, lon, earth)
+    lat, lon = local_to_latlon(padded_km[:, 0], padded_km[:, 1], center)
+    return _distances(lat, lon)
 
 
 def _overlaps(radii_km: np.ndarray, pairwise_km: np.ndarray, overlap_tolerance_km: float):
@@ -109,7 +109,7 @@ def pairwise_repulsion(
     return forces, counts, True
 
 
-def _clamp_to_boundary(padded_km: np.ndarray, radius_km: float, center: GeoPoint, earth: EarthModel):
+def _clamp_to_boundary(padded_km: np.ndarray, radius_km: float, center: GeoPoint):
     """Project any out-of-area UAV onto the boundary circle (in place).
 
     `padded_km` holds the UAV rows followed by a zero row for the center (see
@@ -119,7 +119,7 @@ def _clamp_to_boundary(padded_km: np.ndarray, radius_km: float, center: GeoPoint
     """
     coords_km = padded_km[:-1]
     for _ in range(4):
-        d, pairwise = _geometry(padded_km, center, earth)
+        d, pairwise = _geometry(padded_km, center)
         if not np.count_nonzero(d > radius_km):
             return d, pairwise
         # Outside: radius / d. Inside (or NaN): radius / radius, exactly 1.
@@ -150,7 +150,6 @@ def repair_coords(
     area_radius_km: float,
     center: GeoPoint,
     config: RepairConfig = RepairConfig(),
-    earth: EarthModel = EARTH,
 ) -> np.ndarray:
     """Repair a deployment given as (n, 2) local-plane km coordinates.
 
@@ -167,31 +166,31 @@ def repair_coords(
     rng = None  # the jitter stream starts at the first coincident pair
 
     # Phase 1: boundary correction via linear interpolation toward the center.
-    geometry = _clamp_to_boundary(padded, area_radius_km, center, earth)
+    geometry = _clamp_to_boundary(padded, area_radius_km, center)
 
     # Phases 2-3: repulsive forces, then boundary clamping, until no overlap.
     for _ in range(config.max_iter):
-        d_center, pairwise = geometry if geometry is not None else _geometry(padded, center, earth)
+        d_center, pairwise = geometry if geometry is not None else _geometry(padded, center)
         zero = pairwise[upper_i, upper_j] == 0.0
         if np.count_nonzero(zero):
             if rng is None:
                 rng = random.Random(_JITTER_SEED)
             if _separate_coincident(coords, (upper_i[zero], upper_j[zero]), rng):
-                d_center, pairwise = _geometry(padded, center, earth)
+                d_center, pairwise = _geometry(padded, center)
         radii_km = radius_law(d_center) / 1000.0
         forces, counts, any_overlap = pairwise_repulsion(coords, radii_km, pairwise, tol_km)
         if not any_overlap:
             break
         active = counts > 0
         coords[active] += config.alpha_r * forces[active] / counts[active, None]
-        geometry = _clamp_to_boundary(padded, area_radius_km, center, earth)
+        geometry = _clamp_to_boundary(padded, area_radius_km, center)
     return coords
 
 
-def _is_feasible(deployment: Deployment, config: RepairConfig, earth: EarthModel) -> bool:
+def _is_feasible(deployment: Deployment, config: RepairConfig) -> bool:
     center = deployment.area.center
     lat, lon = deployment.latlon()
-    d_center, pairwise = _distances(np.append(lat, center.lat), np.append(lon, center.lon), earth)
+    d_center, pairwise = _distances(np.append(lat, center.lat), np.append(lon, center.lon))
     if (d_center > deployment.area.radius_km).any():
         return False
     radii = np.array([u.detection_radius_m for u in deployment.uavs]) / 1000.0
@@ -199,17 +198,15 @@ def _is_feasible(deployment: Deployment, config: RepairConfig, earth: EarthModel
     return not overlap.any()
 
 
-def repair(
-    deployment: Deployment, config: RepairConfig = RepairConfig(), earth: EarthModel = EARTH
-) -> Deployment:
+def repair(deployment: Deployment, config: RepairConfig = RepairConfig()) -> Deployment:
     """Return a repaired version of `deployment` (see the module notes on feasibility).
 
     An already-feasible deployment is returned unchanged (exact identity, no
     projection round-trip). Detection radii are recomputed from the final
     positions.
     """
-    if _is_feasible(deployment, config, earth):
+    if _is_feasible(deployment, config):
         return deployment
     area = deployment.area
-    repaired = repair_coords(deployment.coords_km(earth), area.radius_km, area.center, config, earth)
-    return Deployment.from_coords(repaired, area, earth)
+    repaired = repair_coords(deployment.coords_km(), area.radius_km, area.center, config)
+    return Deployment.from_coords(repaired, area)

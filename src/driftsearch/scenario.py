@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forecast import Forecast
-from .geo import EARTH, EarthModel, GeoPoint, haversine_km, local_to_latlon
+from .geo import GeoPoint, haversine_km, local_to_latlon
 from .ingest import AccidentSpec, DrifterTrack
 
 DEFAULT_RADIUS_MULTIPLIER = 4.0
@@ -73,17 +73,17 @@ class Scenario:
         return json.dumps(doc, indent=2)
 
     @classmethod
-    def from_json(cls, text: str, earth: EarthModel = EARTH) -> "Scenario":
+    def from_json(cls, text: str) -> "Scenario":
         doc = json.loads(text)
         accident = GeoPoint(**doc["accident"])
         area = SearchArea(GeoPoint(**doc["center"]), doc["radius_km"])
         particles = tuple(Particle(GeoPoint(**p)) for p in doc["particles"])
-        lines = tuple(_line(accident, p.position, earth) for p in particles)
+        lines = tuple(_line(accident, p.position) for p in particles)
         return cls(accident, area, particles, lines, doc["sigma_km"])
 
 
-def _line(start: GeoPoint, end: GeoPoint, earth: EarthModel) -> CandidateLine:
-    return CandidateLine(start, end, haversine_km(start, end, earth))
+def _line(start: GeoPoint, end: GeoPoint) -> CandidateLine:
+    return CandidateLine(start, end, haversine_km(start, end))
 
 
 def build_search_area(
@@ -101,7 +101,6 @@ def sample_particles(
     k: int,
     sigma_multiplier: float = DEFAULT_SIGMA_MULTIPLIER,
     seed: int = 0,
-    earth: EarthModel = EARTH,
 ) -> list[Particle]:
     """Draw k particles from an isotropic Gaussian around the prediction.
 
@@ -114,7 +113,7 @@ def sample_particles(
     sigma_km = sigma_multiplier * forecast.prev_step_error_km
     rng = np.random.default_rng(seed)
     offsets = rng.normal(0.0, sigma_km, size=(k, 2)) if sigma_km > 0 else np.zeros((k, 2))
-    lats, lons = local_to_latlon(offsets[:, 0], offsets[:, 1], forecast.predicted, earth)
+    lats, lons = local_to_latlon(offsets[:, 0], offsets[:, 1], forecast.predicted)
     return [Particle(GeoPoint(float(lat), float(lon))) for lat, lon in zip(lats, lons)]
 
 
@@ -127,13 +126,12 @@ def build_scenario(
     radius_multiplier: float = DEFAULT_RADIUS_MULTIPLIER,
     sigma_multiplier: float = DEFAULT_SIGMA_MULTIPLIER,
     radius_floor_km: float = DEFAULT_RADIUS_FLOOR_KM,
-    earth: EarthModel = EARTH,
 ) -> Scenario:
     """Assemble area, particles, and candidate lines into one scenario."""
     spec.validate_against(track)
     accident = track.position(spec.accident_index)
     area = build_search_area(forecast, radius_multiplier, radius_floor_km)
-    particles = tuple(sample_particles(forecast, k, sigma_multiplier, seed, earth))
-    lines = tuple(_line(accident, p.position, earth) for p in particles)
+    particles = tuple(sample_particles(forecast, k, sigma_multiplier, seed))
+    lines = tuple(_line(accident, p.position) for p in particles)
     sigma_km = sigma_multiplier * forecast.prev_step_error_km
     return Scenario(accident=accident, area=area, particles=particles, lines=lines, sigma_km=sigma_km)

@@ -15,7 +15,7 @@ from scipy.stats import binomtest
 
 from driftsearch.evaluate import monte_carlo_chain, survival_chain
 from driftsearch.forecast import PredictorSpec, benchmark_predictors
-from driftsearch.geo import EARTH, GeoPoint, LocalVector, from_local, haversine_km, haversine_km_arrays
+from driftsearch.geo import GeoPoint, LocalVector, from_local, haversine_km, haversine_km_arrays
 from driftsearch.ingest import DrifterRecord, DrifterTrack, _SYNTH_EPOCH
 from driftsearch.model import Deployment, detection_pod, detection_radius_m
 from driftsearch.optimize import FitnessEvaluator, OptimizerConfig, initialize, run

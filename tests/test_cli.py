@@ -69,6 +69,23 @@ def test_experiment_small(tracks_csv, tmp_path, capsys):
     assert (out / "summary.csv").exists()
 
 
+def test_experiment_with_failed_cells_exits_nonzero(tracks_csv, tmp_path, capsys):
+    # Accident index 50 leaves no ground truth in a 14-hour track, so every
+    # cell fails in validate_against; the tables are still written.
+    out = tmp_path / "exp-out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"budget_evals": 120, "uav_counts": [4], "particle_counts": [6], "seeds": [0]}))
+    rc = main(
+        [
+            "experiment", "--tracks", str(tracks_csv), "--accident-index", "50",
+            "--config", str(config), "--algo", "random", "sa", "--out", str(out),
+        ]
+    )
+    assert rc == 1
+    assert "4 of 4 cells failed" in capsys.readouterr().err
+    assert (out / "results.csv").read_text().splitlines()[1:] == []
+
+
 def test_experiment_config_unknown_key_rejected(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"budget_eval": 120, "seeds": [0], "uav_count": [4]}))

@@ -1,7 +1,9 @@
 """Experiment grid orchestration, CSV output, determinism of seeds."""
 
 import csv
+import json
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -140,3 +142,19 @@ def test_budget_parity_violation_names_the_cell(tiny_spec, monkeypatch):
     instance = tiny_spec.instances[0]
     with pytest.raises(RuntimeError, match=rf"cell {instance.name} n=4 k=8 sa seed=1: 119 evaluations, budget 120"):
         run_cell(instance, 4, 8, "sa", 1, tiny_spec)
+
+
+REFERENCE_PATH = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+def test_default_grid_rows_match_the_recorded_reference():
+    # One default-grid cell per algorithm, compared without the wall time
+    # against the rows the benchmark recorded; a dropped or added random draw
+    # changes best_fitness here.
+    reference = json.loads(REFERENCE_PATH.read_text())["grid"]
+    spec = replace(default_spec(), instances=synthetic_instances(1), uav_counts=(6,), particle_counts=(10,), seeds=(0,))
+    rows, _ = run_experiment(spec)
+    assert [r.algorithm for r in rows] == list(experiment.DEFAULT_ALGORITHMS)
+    for row in rows:
+        cell = f"{row.instance}_u{row.n_uavs}_p{row.n_particles}_{row.algorithm}_s{row.seed}"
+        assert ",".join(format_row(row)[:-1]) == reference[cell]

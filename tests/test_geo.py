@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftsearch.geo import (
-    EARTH,
-    EarthModel,
+    EARTH_RADIUS_KM,
+    METERS_PER_DEGREE,
     GeoPoint,
     LocalVector,
     MidpointIndex,
@@ -45,16 +45,12 @@ class TestGeoPoint:
 
 class TestEarthModel:
     def test_default_radius(self):
-        assert EARTH.radius_km == 6371.0
+        assert EARTH_RADIUS_KM == 6371.0
 
     def test_meters_per_degree(self):
         # 2*pi*R / 360 degrees.
         expected = 2.0 * math.pi * 6371.0 * 1000.0 / 360.0
-        assert EARTH.meters_per_degree == pytest.approx(expected)
-
-    def test_invalid_radius(self):
-        with pytest.raises(ValueError):
-            EarthModel(0.0)
+        assert METERS_PER_DEGREE == pytest.approx(expected)
 
 
 class TestHaversine:
@@ -121,7 +117,7 @@ class TestTangentPlane:
         anchor = GeoPoint(10.0, 20.0)
         v = to_local(GeoPoint(10.01, 20.0), anchor)
         assert v.east_m == pytest.approx(0.0, abs=1e-9)
-        assert v.north_m == pytest.approx(0.01 * EARTH.meters_per_degree)
+        assert v.north_m == pytest.approx(0.01 * METERS_PER_DEGREE)
 
     def test_east_displacement_shrinks_with_latitude(self):
         v_eq = to_local(GeoPoint(0.0, 1.0), GeoPoint(0.0, 0.0))
@@ -199,7 +195,7 @@ class TestMidpointIndex:
         # Points and queries scattered a few reaches around (lat0, lon0), with
         # longitudes left unwrapped or wrapped across +-180 at random.
         rng = np.random.default_rng(seed)
-        spread_deg = 3.0 * math.degrees(reach_km / EARTH.radius_km)
+        spread_deg = 3.0 * math.degrees(reach_km / EARTH_RADIUS_KM)
         lat = np.clip(lat0 + rng.normal(0.0, spread_deg, n_points), -90.0, 90.0)
         lon = lon0 + rng.normal(0.0, spread_deg / max(0.05, math.cos(math.radians(lat0))), n_points)
         lon = np.where(rng.random(n_points) < 0.5, ((lon + 180.0) % 360.0) - 180.0, lon)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from driftsearch.geo import EARTH, GeoPoint, LocalVector, from_local, haversine_km, local_to_latlon
+from driftsearch.geo import GeoPoint, LocalVector, from_local, haversine_km, local_to_latlon
 from driftsearch.model import (
     MAX_DETECTION_RADIUS_M,
     MIN_DETECTION_RADIUS_M,

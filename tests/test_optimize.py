@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftsearch.forecast import Forecast
-from driftsearch.geo import EARTH, GeoPoint, LocalVector, from_local, haversine_km, local_to_latlon
+from driftsearch.geo import EARTH_RADIUS_KM, METERS_PER_DEGREE, GeoPoint, LocalVector, from_local, haversine_km, local_to_latlon
 from driftsearch.ingest import AccidentSpec, synthesize_track
 from driftsearch.optimize import (
     FitnessEvaluator,
@@ -209,7 +209,7 @@ def seed_haversine_km(lat1, lon1, lat2, lon2, radius_km=6371.0):
 
 def dense_detected(ev: FitnessEvaluator, coords_km: np.ndarray) -> int:
     """Every UAV against every midpoint: the kernel the pruned one replaces."""
-    lat, lon = local_to_latlon(coords_km[:, 0], coords_km[:, 1], ev.center, ev.earth)
+    lat, lon = local_to_latlon(coords_km[:, 0], coords_km[:, 1], ev.center)
     d_center = seed_haversine_km(lat, lon, ev.center.lat, ev.center.lon)
     radii_m = np.clip(-200.0 * d_center + 600.0, 200.0, 600.0)
     dist_m = seed_haversine_km(lat[:, None], lon[:, None], ev.index.lat[None, :], ev.index.lon[None, :]) * 1000.0
@@ -262,7 +262,7 @@ class TestPrunedFitness:
         # longitudes differ by 360 degrees, the haversine by nothing.
         center = GeoPoint(80.0, 179.995)
         ev = FitnessEvaluator(fan_scenario(center, [(0.3, 0.4), (-0.5, 0.2)]), unit_m=50.0)
-        turn_km = 2.0 * math.pi * EARTH.radius_km * math.cos(math.radians(center.lat))
+        turn_km = 2.0 * math.pi * EARTH_RADIUS_KM * math.cos(math.radians(center.lat))
         coords = np.array([[turn_km, 0.0]])
         assert ev.evaluate_coords(coords).score == dense_detected(ev, coords) > 0
 
@@ -271,7 +271,7 @@ class TestPrunedFitness:
         # Mirrored through the pole: latitude 180 - lat at longitude lon + 180
         # is the point (lat, lon) to the haversine formula; here one 100 m
         # north of the center.
-        lat0, mpd_km = ev.center.lat, EARTH.meters_per_degree / 1000.0
+        lat0, mpd_km = ev.center.lat, METERS_PER_DEGREE / 1000.0
         north = (180.0 - 2.0 * lat0) * mpd_km - 0.1
         east = 180.0 * math.cos(math.radians(lat0)) * mpd_km
         for coords in (np.array([[east, north]]), np.array([[0.0, 0.0], [0.0, 1e5], [np.nan, 0.0]])):
