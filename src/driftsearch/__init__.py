@@ -4,10 +4,10 @@ from .geo import GeoPoint, LocalVector, haversine_km
 from .ingest import AccidentSpec, DrifterRecord, DrifterTrack, load_tracks, save_tracks, synthesize_track
 from .forecast import Forecast, PredictorSpec, benchmark_predictors, forecast_scenario, predict_recursive
 from .scenario import CandidateLine, Particle, Scenario, SearchArea, build_scenario, build_search_area, sample_particles
-from .model import Deployment, UavPosition, covers, detection_pod, detection_radius_m
+from .model import Deployment, UavPosition, detection_pod, detection_radius_m
 from .repair import RepairConfig, repair
 from .optimize import FitnessValue, OptimizationResult, OptimizerConfig, fitness, initialize, run
-from .evaluate import EvaluationConfig, EvaluationReport, coverage, monte_carlo_coverage, segment_trajectory
+from .evaluate import EvaluationConfig, EvaluationReport, coverage, segment_trajectory
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,6 @@ __all__ = [
     "sample_particles",
     "Deployment",
     "UavPosition",
-    "covers",
     "detection_pod",
     "detection_radius_m",
     "RepairConfig",
@@ -49,6 +48,5 @@ __all__ = [
     "EvaluationConfig",
     "EvaluationReport",
     "coverage",
-    "monte_carlo_coverage",
     "segment_trajectory",
 ]

@@ -1,23 +1,21 @@
-"""Command-line entry points: predict, plan, experiment, validate."""
+"""Command-line entry points: predict, plan, experiment."""
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .evaluate import EvaluationConfig, coverage, monte_carlo_coverage
+from .evaluate import coverage
 from .forecast import PredictorSpec, benchmark_predictors, forecast_scenario
-from .geo import GeoPoint, haversine_km
 from .geojson import export_geojson
-from .ingest import AccidentSpec, load_tracks, synthesize_track
-from .model import detection_pod, detection_radius_m
-from .optimize import ALGORITHMS, OptimizerConfig, initialize, run
-from .repair import RepairConfig, repair
+from .ingest import AccidentSpec, load_tracks
+from .optimize import ALGORITHMS, OptimizerConfig, run
+from .repair import RepairConfig
 from .experiment import (
     ExperimentSpec,
     InstanceSpec,
@@ -88,26 +86,16 @@ def cmd_plan(args) -> int:
     return 0
 
 
-_CONFIG_KEYS = (
-    "algorithms", "seeds", "uav_counts", "particle_counts", "budget_evals",
-    "fitness_unit_m", "eval_unit_m", "k0", "radius_multiplier",
-    "sigma_multiplier", "radius_floor_km",
-)
-
-
 def _spec_from_config(path: str) -> ExperimentSpec:
     doc = json.loads(Path(path).read_text())
-    unknown = sorted(set(doc) - {*_CONFIG_KEYS, "repair"})
+    keys = {f.name for f in dataclasses.fields(ExperimentSpec)} - {"instances"}
+    unknown = sorted(set(doc) - keys)
     if unknown:
         raise ValueError(f"unknown key(s) in experiment config {path}: {', '.join(unknown)}")
-    fields = {}
-    for key in _CONFIG_KEYS:
-        if key in doc:
-            value = doc[key]
-            fields[key] = tuple(value) if isinstance(value, list) else value
+    fields = {key: tuple(value) if isinstance(value, list) else value for key, value in doc.items()}
     if "repair" in doc:
         fields["repair"] = RepairConfig(**doc["repair"])
-    return replace(default_spec(), **fields)
+    return dataclasses.replace(default_spec(), **fields)
 
 
 def cmd_experiment(args) -> int:
@@ -119,7 +107,7 @@ def cmd_experiment(args) -> int:
     if args.tracks:
         overrides["instances"] = _load_instances(args)
     if overrides:
-        spec = replace(spec, **overrides)
+        spec = dataclasses.replace(spec, **overrides)
     rows, summary = run_experiment(spec, out_dir=Path(args.out), write_maps=args.maps, progress=True)
     print(f"\n{len(rows)} runs; results in {args.out}/results.csv, summary in {args.out}/summary.csv")
     for cell in summary:
@@ -133,46 +121,6 @@ def cmd_experiment(args) -> int:
         print(f"{failed} of {failed + len(rows)} cells failed; see the log above", file=sys.stderr)
         return 1
     return 0
-
-
-def cmd_validate(args) -> int:
-    """Quick self-checks of the core numerical laws."""
-    checks: list[tuple[str, bool]] = []
-
-    equator_deg = haversine_km(GeoPoint(0, 0), GeoPoint(0, 1))
-    checks.append(("haversine equator degree ~ 111.19 km", abs(equator_deg - 111.19) < 0.02))
-    quarter = haversine_km(GeoPoint(0, 0), GeoPoint(90, 0))
-    checks.append(("haversine quarter meridian ~ 10007.5 km", abs(quarter - 10007.5) < 0.5))
-
-    center = GeoPoint(34.0, 127.0)
-    probe = GeoPoint(34.0, 127.0 + 1.0 / (111.19 * math.cos(math.radians(34.0))))
-    checks.append(("radius law at d=0 is 600 m", detection_radius_m(center, center) == 600.0))
-    checks.append(("radius law at d=1 km is ~400 m", abs(detection_radius_m(probe, center) - 400.0) < 1.0))
-    checks.append(("PoD at 600 m ~ 0.6321", abs(detection_pod(600.0) - 0.6321) < 1e-4))
-    checks.append(("PoD at 200 m ~ 0.2835", abs(detection_pod(200.0) - 0.2835) < 1e-4))
-
-    instance = synthetic_instances(1)[0]
-    fc = forecast_scenario(instance.track, instance.accident, instance.predictor)
-    scen = build_scenario(instance.track, instance.accident, fc, k=10, seed=7)
-    outside = any(
-        haversine_km(uav.position, scen.area.center) > scen.area.radius_km + 1e-6
-        for seed in range(20)
-        for uav in repair(initialize(6, scen.area, seed)).uavs
-    )
-    checks.append(("repair keeps 20 random deployments in-bounds", not outside))
-
-    dep = repair(initialize(6, scen.area, 99))
-    lo = instance.accident.accident_index
-    hi = lo + instance.accident.horizon_hours
-    cfg = EvaluationConfig(unit_m=5.0)
-    analytic = coverage(dep, instance.track, lo, hi, cfg).coverage
-    simulated = monte_carlo_coverage(dep, instance.track, lo, hi, cfg, trials=5000, seed=1)
-    tol = max(1.0, 0.05 * max(analytic, 1.0))
-    checks.append(("analytic coverage matches Monte-Carlo", abs(analytic - simulated) < tol))
-
-    for name, passed in checks:
-        print(f"[{'PASS' if passed else 'FAIL'}] {name}")
-    return 0 if all(passed for _, passed in checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,9 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out")
     p.add_argument("--maps", action="store_true", help="write per-cell GeoJSON maps")
     p.set_defaults(func=cmd_experiment)
-
-    p = sub.add_parser("validate", help="run quick invariant checks")
-    p.set_defaults(func=cmd_validate)
     return parser
 
 

@@ -231,16 +231,3 @@ def monte_carlo_chain(pods: np.ndarray, k0: int, trials: int, seed: int) -> floa
             alive -= hits
     return detected / trials
 
-
-def monte_carlo_coverage(
-    deployment: Deployment,
-    track: DrifterTrack,
-    from_index: int,
-    to_index: int,
-    config: EvaluationConfig = EvaluationConfig(),
-    trials: int = 10_000,
-    seed: int = 0,
-) -> float:
-    """Simulated coverage; the oracle counterpart of :func:`coverage`."""
-    pods = _segment_pods(deployment, _polyline(track, from_index, to_index, config.unit_m))
-    return monte_carlo_chain(pods, config.k0, trials, seed)

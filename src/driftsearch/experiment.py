@@ -75,6 +75,12 @@ class ExperimentSpec:
         ):
             if not seq:
                 raise ValueError(f"{name} must be non-empty")
+        if min(self.particle_counts) < 1:
+            raise ValueError("particle_counts must be >= 1")
+        # Fail on a bad algorithm, UAV count, budget or unit before any cell runs.
+        for algorithm, n_uavs in itertools.product(self.algorithms, self.uav_counts):
+            OptimizerConfig(algorithm, n_uavs, self.budget_evals, repair=self.repair, fitness_unit_m=self.fitness_unit_m)
+        EvaluationConfig(self.eval_unit_m, self.k0)
 
 
 @dataclass(frozen=True)
@@ -93,9 +99,7 @@ RESULT_COLUMNS = ["instance", "n_uavs", "n_particles", "algorithm", "seed", "cov
 SUMMARY_COLUMNS = ["instance", "n_uavs", "n_particles", "algorithm", "avg", "best"]
 
 
-def synthetic_instances(
-    count: int = 3, predictor_kind: str = "linear-extrapolation"
-) -> tuple[InstanceSpec, ...]:
+def synthetic_instances(count: int = 3) -> tuple[InstanceSpec, ...]:
     """Desk-scale synthetic accident instances with fixed seeds.
 
     The drift/turbulence profiles are chosen so the one-step prediction error
@@ -117,7 +121,7 @@ def synthetic_instances(
                 name=name,
                 track=track,
                 accident=AccidentSpec(track_id=name, accident_index=6, horizon_hours=6),
-                predictor=PredictorSpec(predictor_kind),
+                predictor=PredictorSpec("linear-extrapolation"),
             )
         )
     return tuple(out)

@@ -98,16 +98,18 @@ def predict_recursive(
     accident_index: int,
     steps: int,
     predictor: PredictorSpec,
-    context_start: int = 0,
 ) -> list[GeoPoint]:
     """Predict `steps` future positions, feeding each prediction back as input.
 
     Only records up to and including `accident_index` are read; the expanding
-    window then grows with the model's own outputs.
+    window then grows with the model's own outputs. Longitudes are fitted
+    unwrapped (each shifted by whole turns so that no step exceeds 180
+    degrees) and wrapped only in the returned points, so a track crossing the
+    antimeridian is extrapolated across it.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if accident_index >= len(track):
+    if not 0 <= accident_index < len(track):
         raise InsufficientHistory(f"accident_index {accident_index} outside track of length {len(track)}")
 
     if predictor.kind == "external-file":
@@ -116,23 +118,23 @@ def predict_recursive(
             raise InsufficientHistory(f"forecast file has {len(points)} steps, need {steps}")
         return points[:steps]
 
-    history = [track.position(i) for i in range(context_start, accident_index + 1)]
     if predictor.kind == "persistence":
-        if not history:
-            raise InsufficientHistory("persistence needs at least one observation")
-        return [history[-1]] * steps
+        return [track.position(accident_index)] * steps
 
     # linear-extrapolation
-    if len(history) < 2:
+    if accident_index < 1:
         raise InsufficientHistory("linear-extrapolation needs at least two observations")
+    history = [track.position(i) for i in range(accident_index + 1)]
     lats = [p.lat for p in history]
     lons = [p.lon for p in history]
+    for i in range(1, len(lons)):
+        lons[i] += 360.0 * round((lons[i - 1] - lons[i]) / 360.0)
     out: list[GeoPoint] = []
     for _ in range(steps):
-        p = GeoPoint(_linear_next(lats), _linear_next(lons))
-        lats.append(p.lat)
-        lons.append(p.lon)
-        out.append(p)
+        lat, lon = _linear_next(lats), _linear_next(lons)
+        lats.append(lat)
+        lons.append(lon)
+        out.append(GeoPoint(lat, lon))
     return out
 
 
@@ -140,7 +142,6 @@ def forecast_scenario(
     track: DrifterTrack,
     spec: AccidentSpec,
     predictor: PredictorSpec,
-    context_start: int = 0,
 ) -> Forecast:
     """Predict the position at the planning horizon and measure last-step error.
 
@@ -150,7 +151,7 @@ def forecast_scenario(
     """
     spec.validate_against(track)
     horizon = spec.horizon_hours
-    predictions = predict_recursive(track, spec.accident_index, horizon, predictor, context_start)
+    predictions = predict_recursive(track, spec.accident_index, horizon, predictor)
     predicted = predictions[horizon - 1]
     if horizon >= 2:
         truth_prev = track.position(spec.accident_index + horizon - 1)
@@ -158,20 +159,18 @@ def forecast_scenario(
     else:
         # One-step horizon: the "previous step" is the accident observation itself.
         error_km = 0.0
-    history_used = spec.accident_index - context_start + 1
-    return Forecast(predicted=predicted, prev_step_error_km=error_km, history_used=history_used)
+    return Forecast(predicted=predicted, prev_step_error_km=error_km, history_used=spec.accident_index + 1)
 
 
 def benchmark_predictors(
     tracks: Sequence[DrifterTrack],
     specs: Sequence[PredictorSpec],
     horizon: int = 6,
-    accident_index: int | None = None,
 ) -> list[tuple[PredictorSpec, float]]:
     """Mean haversine prediction error (km) per predictor over all tracks.
 
-    Each track is scored over every horizon step; `accident_index` defaults to
-    leaving exactly `horizon` ground-truth steps at the end of the track.
+    Each track is scored over every horizon step, with the accident placed to
+    leave exactly `horizon` ground-truth steps at the end of the track.
     """
     if not tracks:
         raise ValueError("need at least one track")
@@ -179,7 +178,7 @@ def benchmark_predictors(
     for spec in specs:
         errors: list[float] = []
         for track in tracks:
-            idx = accident_index if accident_index is not None else len(track) - 1 - horizon
+            idx = len(track) - 1 - horizon
             predictions = predict_recursive(track, idx, horizon, spec)
             for k, pred in enumerate(predictions, start=1):
                 errors.append(haversine_km(pred, track.position(idx + k)))

@@ -58,11 +58,6 @@ class UavPosition:
         return float(detection_pod(self.detection_radius_m))
 
 
-def covers(uav: UavPosition, p: GeoPoint) -> bool:
-    """True iff `p` lies strictly inside the UAV's detection disc."""
-    return haversine_km(uav.position, p) * 1000.0 < uav.detection_radius_m
-
-
 @dataclass(frozen=True)
 class Deployment:
     """An ordered set of UAV placements inside a search area."""

@@ -20,13 +20,6 @@ def tracks_csv(tmp_path):
     return path
 
 
-def test_validate(capsys):
-    assert main(["validate"]) == 0
-    out = capsys.readouterr().out
-    assert "[PASS]" in out
-    assert "[FAIL]" not in out
-
-
 def test_predict_builtin(capsys):
     assert main(["predict"]) == 0
     out = capsys.readouterr().out
@@ -92,6 +85,21 @@ def test_experiment_config_unknown_key_rejected(tmp_path):
     with pytest.raises(ValueError, match="budget_eval, uav_count"):
         main(["experiment", "--config", str(config), "--out", str(tmp_path / "exp-out")])
     assert not (tmp_path / "exp-out").exists()
+
+
+def test_experiment_config_bad_algorithm_fails_before_any_cell(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"algorithms": ["gaa"]}))
+    out = tmp_path / "exp-out"
+    with pytest.raises(ValueError, match="unknown algorithm 'gaa'"):
+        main(["experiment", "--config", str(config), "--out", str(out)])
+    assert not (out / "results.csv").exists()
+
+
+def test_validate_is_not_a_subcommand():
+    with pytest.raises(SystemExit) as exc:
+        main(["validate"])
+    assert exc.value.code == 2
 
 
 def test_missing_subcommand_errors():

@@ -14,7 +14,6 @@ from driftsearch.evaluate import (
     coverage,
     literal_chain,
     monte_carlo_chain,
-    monte_carlo_coverage,
     segment_trajectory,
     survival_chain,
 )
@@ -157,9 +156,9 @@ class TestCoverage:
             SearchArea(anchor, 3.0),
         )
         cfg = EvaluationConfig(unit_m=25.0)
-        analytic = coverage(dep, t, 6, 12, cfg).coverage
-        simulated = monte_carlo_coverage(dep, t, 6, 12, cfg, trials=20000, seed=2)
-        assert simulated == pytest.approx(analytic, abs=0.5)
+        report = coverage(dep, t, 6, 12, cfg)
+        simulated = monte_carlo_chain(report.segment_pods, cfg.k0, trials=20000, seed=2)
+        assert simulated == pytest.approx(report.coverage, abs=0.5)
 
     def test_trajectory_length_reported(self):
         t = make_track()

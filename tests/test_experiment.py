@@ -9,6 +9,9 @@ from types import SimpleNamespace
 import pytest
 
 from driftsearch import experiment
+from driftsearch.forecast import forecast_scenario
+from driftsearch.geo import GeoPoint, haversine_km
+from driftsearch.ingest import DrifterTrack
 from driftsearch.experiment import (
     ExperimentSpec,
     ResultRow,
@@ -77,8 +80,42 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             replace(default_spec(), seeds=())
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"algorithms": ("gaa",)},
+            {"uav_counts": (6, 0)},
+            {"particle_counts": (0,)},
+            {"budget_evals": 49},  # below the GA and PSO population
+            {"fitness_unit_m": 0.0},
+            {"eval_unit_m": -1.0},
+            {"k0": 0},
+        ],
+        ids=lambda overrides: next(iter(overrides)),
+    )
+    def test_invalid_cell_settings_rejected_up_front(self, overrides):
+        with pytest.raises(ValueError):
+            replace(default_spec(), **overrides)
+
 
 class TestRunCell:
+    @pytest.mark.parametrize("shift", [53.0, -307.0])
+    def test_longitude_shift_across_antimeridian(self, tiny_spec, shift):
+        # I-1 starts at lon 127, so both shifts put its history on both sides
+        # of +-180; the forecast and the cell must just move with the track.
+        inst = tiny_spec.instances[0]
+        records = tuple(
+            replace(r, position=GeoPoint(r.position.lat, r.position.lon + shift)) for r in inst.track.records
+        )
+        shifted = replace(inst, track=DrifterTrack(inst.track.id, records))
+        fc = forecast_scenario(inst.track, inst.accident, inst.predictor)
+        moved = forecast_scenario(shifted.track, shifted.accident, shifted.predictor)
+        assert haversine_km(moved.predicted, GeoPoint(fc.predicted.lat, fc.predicted.lon + shift)) < 1e-6
+        assert moved.prev_step_error_km == pytest.approx(fc.prev_step_error_km, rel=1e-9)
+        row = run_cell(shifted, 4, 8, "sa", 0, tiny_spec)
+        base = run_cell(inst, 4, 8, "sa", 0, tiny_spec)
+        assert (row.best_fitness, row.coverage) == (base.best_fitness, pytest.approx(base.coverage, abs=1e-6))
+
     def test_row_fields(self, tiny_spec):
         inst = tiny_spec.instances[0]
         row = run_cell(inst, 4, 8, "random", 0, tiny_spec)

@@ -61,13 +61,6 @@ class TestLinearExtrapolation:
         with pytest.raises(InsufficientHistory):
             predict_recursive(t, 0, 3, PredictorSpec("linear-extrapolation"))
 
-    def test_context_start_limits_window(self):
-        t = linear_track()
-        full = predict_recursive(t, 6, 2, PredictorSpec("linear-extrapolation"))
-        windowed = predict_recursive(t, 6, 2, PredictorSpec("linear-extrapolation"), context_start=4)
-        # On a perfectly linear track both windows give identical answers.
-        assert full[0].lat == pytest.approx(windowed[0].lat, abs=1e-9)
-
     def test_no_lookahead(self):
         """Truth after the accident index must not influence the prediction."""
         t = synthesize_track(seed=9, hours=14, start=GeoPoint(34.0, 127.0), drift_kmh=0.5, turn_sigma=0.4)

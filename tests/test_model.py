@@ -11,7 +11,6 @@ from driftsearch.model import (
     MIN_DETECTION_RADIUS_M,
     Deployment,
     UavPosition,
-    covers,
     detection_pod,
     detection_radius_m,
     radius_law,
@@ -82,19 +81,6 @@ class TestUavPosition:
         uav = UavPosition.place(at_distance_km(1.0), CENTER)
         assert uav.detection_radius_m == pytest.approx(400.0, abs=0.01)
         assert uav.pod == pytest.approx(detection_pod(uav.detection_radius_m))
-
-    def test_covers_strictly_inside(self):
-        uav = UavPosition(CENTER, 600.0)
-        assert covers(uav, at_distance_km(0.5))
-        assert not covers(uav, at_distance_km(0.61))
-
-    def test_boundary_not_covered(self):
-        uav = UavPosition(CENTER, 600.0)
-        rim = at_distance_km(0.6)
-        # Strict inequality: a point essentially on the rim may fall either
-        # side of floating error, but clearly-outside never covers.
-        assert not covers(uav, at_distance_km(0.6001))
-        assert covers(uav, rim) in (True, False)
 
 
 class TestDeployment:
