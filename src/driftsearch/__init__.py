@@ -1,6 +1,6 @@
 """Uncertainty-aware UAV search deployment planning for drifting-object recovery."""
 
-from .geo import GeoPoint, LocalVector, haversine_km
+from .geo import GeoPoint
 from .ingest import AccidentSpec, DrifterRecord, DrifterTrack, load_tracks, save_tracks, synthesize_track
 from .forecast import Forecast, PredictorSpec, benchmark_predictors, forecast_scenario, predict_recursive
 from .scenario import CandidateLine, Particle, Scenario, SearchArea, build_scenario, build_search_area, sample_particles
@@ -13,8 +13,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GeoPoint",
-    "LocalVector",
-    "haversine_km",
     "AccidentSpec",
     "DrifterRecord",
     "DrifterTrack",

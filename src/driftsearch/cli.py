@@ -129,11 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
+        # Defaults are filled in by main(), which must see whether a flag was given.
         p.add_argument("--tracks", help="drifter track CSV (default: built-in synthetic instances)")
-        p.add_argument("--predictor", choices=["persistence", "linear", "external"], default="persistence")
+        p.add_argument("--predictor", choices=["persistence", "linear", "external"], help="default: persistence")
         p.add_argument("--forecast-file", help="external per-step forecast CSV (step,lat,lon)")
-        p.add_argument("--horizon", type=int, default=6)
-        p.add_argument("--accident-index", type=int, default=6)
+        p.add_argument("--horizon", type=int, help="default: 6")
+        p.add_argument("--accident-index", type=int, help="default: 6")
 
     p = sub.add_parser("predict", help="benchmark predictors on tracks")
     add_common(p)
@@ -161,8 +162,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags that describe a track's accident; plan and experiment honour them only with --tracks.
+_TRACK_FLAGS = {"predictor": "persistence", "forecast_file": None, "horizon": 6, "accident_index": 6}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    given = ", ".join("--" + name.replace("_", "-") for name in _TRACK_FLAGS if getattr(args, name) is not None)
+    if given and args.command != "predict" and not args.tracks:
+        parser.error(f"{given} given without --tracks; the built-in instances fix their own predictor and accident")
+    for name, default in _TRACK_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     return args.func(args)
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geo import haversine_km, haversine_km_arrays, latlon_to_local, local_to_latlon, pruning_windows
+from .geo import haversine_km_arrays, latlon_to_local, local_to_latlon, pruning_windows
 from .model import Deployment, detection_pod
 from .ingest import DrifterTrack
 
@@ -91,6 +91,12 @@ class EvaluationReport:
         )
 
 
+def _latlon(track: DrifterTrack, from_index: int, to_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Latitudes and longitudes of the records from `from_index` to `to_index`."""
+    points = [r.position for r in track.records[from_index : to_index + 1]]
+    return np.array([p.lat for p in points]), np.array([p.lon for p in points])
+
+
 def _polyline(track: DrifterTrack, from_index: int, to_index: int, unit_m: float) -> tuple:
     """The slice in the tangent plane at its first record: (anchor, arc length
     at each record in m, (east, north) record rows in m, unit_m, number of unit
@@ -98,9 +104,7 @@ def _polyline(track: DrifterTrack, from_index: int, to_index: int, unit_m: float
     if not 0 <= from_index < to_index < len(track):
         raise EmptySlice(f"invalid slice [{from_index}, {to_index}] for track of length {len(track)}")
     anchor = track.position(from_index)
-    lat = np.array([track.position(i).lat for i in range(from_index, to_index + 1)])
-    lon = np.array([track.position(i).lon for i in range(from_index, to_index + 1)])
-    east, north = latlon_to_local(lat, lon, anchor)
+    east, north = latlon_to_local(*_latlon(track, from_index, to_index), anchor)
     pts = np.column_stack([east, north]) * 1000.0  # meters
     cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
     return anchor, cum, pts, unit_m, max(int(np.ceil(cum[-1] / unit_m)), 1)
@@ -203,10 +207,8 @@ def coverage(
     pods.flags.writeable = False
     chain = literal_chain if config.literal_chain else survival_chain
     score = chain(pods, config.k0)
-    length_km = sum(
-        haversine_km(track.position(i), track.position(i + 1))
-        for i in range(from_index, to_index)
-    )
+    lat, lon = _latlon(track, from_index, to_index)
+    length_km = sum(haversine_km_arrays(lat[:-1], lon[:-1], lat[1:], lon[1:]).tolist())
     return EvaluationReport(score, pods, bool(pods.any()), length_km)
 
 

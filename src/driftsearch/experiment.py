@@ -14,6 +14,7 @@ import csv
 import hashlib
 import itertools
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,6 +78,12 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be non-empty")
         if min(self.particle_counts) < 1:
             raise ValueError("particle_counts must be >= 1")
+        if not (math.isfinite(self.radius_multiplier) and self.radius_multiplier > 0):
+            raise ValueError(f"radius_multiplier must be finite and positive, got {self.radius_multiplier}")
+        if not (math.isfinite(self.sigma_multiplier) and self.sigma_multiplier >= 0):
+            raise ValueError(f"sigma_multiplier must be finite and non-negative, got {self.sigma_multiplier}")
+        if not self.radius_floor_km > 0:
+            raise ValueError(f"radius_floor_km must be positive, got {self.radius_floor_km}")
         # Fail on a bad algorithm, UAV count, budget or unit before any cell runs.
         for algorithm, n_uavs in itertools.product(self.algorithms, self.uav_counts):
             OptimizerConfig(algorithm, n_uavs, self.budget_evals, repair=self.repair, fitness_unit_m=self.fitness_unit_m)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geo import GeoPoint, haversine_km
+from .geo import GeoPoint, haversine_km_arrays
 from .ingest import AccidentSpec, DrifterTrack
 
 PREDICTOR_KINDS = ("persistence", "linear-extrapolation", "external-file")
@@ -154,8 +154,8 @@ def forecast_scenario(
     predictions = predict_recursive(track, spec.accident_index, horizon, predictor)
     predicted = predictions[horizon - 1]
     if horizon >= 2:
-        truth_prev = track.position(spec.accident_index + horizon - 1)
-        error_km = haversine_km(predictions[horizon - 2], truth_prev)
+        pred, truth = predictions[horizon - 2], track.position(spec.accident_index + horizon - 1)
+        error_km = float(haversine_km_arrays(pred.lat, pred.lon, truth.lat, truth.lon))
     else:
         # One-step horizon: the "previous step" is the accident observation itself.
         error_km = 0.0
@@ -180,7 +180,7 @@ def benchmark_predictors(
         for track in tracks:
             idx = len(track) - 1 - horizon
             predictions = predict_recursive(track, idx, horizon, spec)
-            for k, pred in enumerate(predictions, start=1):
-                errors.append(haversine_km(pred, track.position(idx + k)))
+            for pred, truth in zip(predictions, (r.position for r in track.records[idx + 1 :])):
+                errors.append(float(haversine_km_arrays(pred.lat, pred.lon, truth.lat, truth.lon)))
         results.append((spec, float(np.mean(errors))))
     return results

@@ -2,10 +2,10 @@
 
 Everything downstream (particle sampling, repulsive-force repair, fitness
 discretization) mixes great-circle distances with planar vector arithmetic.
-The convention here: distances are haversine, vectors live in an
-equirectangular tangent plane anchored at a reference point. At the scales
-this toolkit targets (well under 50 km) the projection error is negligible.
-The earth is a fixed sphere of radius :data:`EARTH_RADIUS_KM` (6371 km).
+The convention here: distances are :func:`haversine_km_arrays`, vectors live
+in an equirectangular tangent plane anchored at a reference point. At the
+scales this toolkit targets (well under 50 km) the projection error is
+negligible. The earth is a fixed sphere of radius :data:`EARTH_RADIUS_KM`.
 """
 
 from __future__ import annotations
@@ -40,28 +40,6 @@ class GeoPoint:
             object.__setattr__(self, "lon", ((self.lon + 180.0) % 360.0) - 180.0)
 
 
-@dataclass(frozen=True)
-class LocalVector:
-    """Displacement in the local tangent plane, meters east/north of an anchor."""
-
-    east_m: float
-    north_m: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.east_m) and math.isfinite(self.north_m)):
-            raise ValueError(f"non-finite local vector ({self.east_m}, {self.north_m})")
-
-
-def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance between two points in kilometers."""
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dphi = math.radians(b.lat - a.lat)
-    dlam = math.radians(b.lon - a.lon)
-    s = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
-
-
 # Half a degree in radians. np.radians(x) / 2 == x * _HALF_RADIAN bit for bit:
 # np.radians multiplies by the same rounded pi / 180, and halving is exact.
 _HALF_RADIAN = np.radians(1.0) / 2.0
@@ -70,7 +48,8 @@ _PRUNE_MARGIN = 1e-6
 
 
 def haversine_km_arrays(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """Vectorized haversine over degree arrays; broadcasts like numpy."""
+    """Great-circle km between degree scalars or arrays, broadcast like numpy; a
+    batched call may differ from one call per pair in the last bit (SIMD loops)."""
     half_dphi = np.subtract(lat2, lat1) * _HALF_RADIAN
     half_dlam = np.subtract(lon2, lon1) * _HALF_RADIAN
     s = np.sin(half_dphi) ** 2 + np.cos(np.radians(lat1)) * np.cos(np.radians(lat2)) * np.sin(half_dlam) ** 2
@@ -138,15 +117,8 @@ class MidpointIndex:
         return query, point
 
 
-def from_local(v: LocalVector, anchor: GeoPoint) -> GeoPoint:
-    """Place a tangent-plane displacement from `anchor` back on the sphere."""
-    lat = anchor.lat + v.north_m / METERS_PER_DEGREE
-    lon = anchor.lon + v.east_m / (METERS_PER_DEGREE * math.cos(math.radians(anchor.lat)))
-    return GeoPoint(lat, lon)
-
-
 def local_to_latlon(east_km, north_km, anchor: GeoPoint):
-    """Array version of :func:`from_local`; inputs in km, outputs degree arrays."""
+    """Place km offsets east and north of `anchor` on the sphere as degree arrays (longitudes unwrapped)."""
     mpd_km = METERS_PER_DEGREE / 1000.0
     lat = anchor.lat + np.asarray(north_km) / mpd_km
     lon = anchor.lon + np.asarray(east_km) / (mpd_km * math.cos(math.radians(anchor.lat)))

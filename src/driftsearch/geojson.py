@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
-import math
+
+import numpy as np
 
 from .evaluate import EvaluationReport, segment_trajectory
-from .geo import GeoPoint, LocalVector, from_local
+from .geo import GeoPoint, local_to_latlon
 from .ingest import DrifterTrack
 from .model import Deployment
 from .scenario import Scenario
@@ -18,11 +19,9 @@ def _coord(p: GeoPoint) -> list[float]:
 
 def circle_ring(center: GeoPoint, radius_km: float, n: int = 64) -> list[list[float]]:
     """Closed polygon ring approximating a haversine circle."""
-    ring = []
-    for i in range(n):
-        angle = 2.0 * math.pi * i / n
-        v = LocalVector(radius_km * 1000.0 * math.cos(angle), radius_km * 1000.0 * math.sin(angle))
-        ring.append(_coord(from_local(v, center)))
+    angles = 2.0 * np.pi * np.arange(n) / n
+    lat, lon = local_to_latlon(radius_km * np.cos(angles), radius_km * np.sin(angles), center)
+    ring = [_coord(GeoPoint(a, b)) for a, b in zip(lat.tolist(), lon.tolist())]
     ring.append(ring[0])
     return ring
 

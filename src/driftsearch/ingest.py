@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Optional
 
-from .geo import GeoPoint, LocalVector, from_local
+from .geo import METERS_PER_DEGREE, GeoPoint
 
 log = logging.getLogger(__name__)
 
@@ -193,7 +193,9 @@ def synthesize_track(
     for h in range(1, hours):
         heading += rng.gauss(0.0, turn_sigma)
         step_m = drift_kmh * 1000.0
-        vec = LocalVector(step_m * math.cos(heading), step_m * math.sin(heading))
-        pos = from_local(vec, pos)
+        # In meters: local_to_latlon's km form rounds differently and would move every track.
+        lat = pos.lat + step_m * math.sin(heading) / METERS_PER_DEGREE
+        lon = pos.lon + step_m * math.cos(heading) / (METERS_PER_DEGREE * math.cos(math.radians(pos.lat)))
+        pos = GeoPoint(lat, lon)
         records.append(DrifterRecord(timestamp=_SYNTH_EPOCH + timedelta(hours=h), position=pos))
     return DrifterTrack(track_id or f"synthetic-{seed}", tuple(records))

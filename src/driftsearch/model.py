@@ -7,7 +7,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .geo import GeoPoint, haversine_km, latlon_to_local, local_to_latlon
+from .geo import GeoPoint, haversine_km_arrays, latlon_to_local, local_to_latlon
 from .scenario import SearchArea
 
 MAX_DETECTION_RADIUS_M = 600.0
@@ -29,7 +29,7 @@ def radius_law(d_km):
 
 def detection_radius_m(uav_pos: GeoPoint, center: GeoPoint) -> float:
     """Effective detection radius for a UAV placed at `uav_pos` (see :func:`radius_law`)."""
-    return float(radius_law(haversine_km(uav_pos, center)))
+    return float(radius_law(haversine_km_arrays(uav_pos.lat, uav_pos.lon, center.lat, center.lon)))
 
 
 def detection_pod(radius_m):

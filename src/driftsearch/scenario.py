@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forecast import Forecast
-from .geo import GeoPoint, haversine_km, local_to_latlon
+from .geo import GeoPoint, haversine_km_arrays, local_to_latlon
 from .ingest import AccidentSpec, DrifterTrack
 
 DEFAULT_RADIUS_MULTIPLIER = 4.0
@@ -78,12 +78,15 @@ class Scenario:
         accident = GeoPoint(**doc["accident"])
         area = SearchArea(GeoPoint(**doc["center"]), doc["radius_km"])
         particles = tuple(Particle(GeoPoint(**p)) for p in doc["particles"])
-        lines = tuple(_line(accident, p.position) for p in particles)
-        return cls(accident, area, particles, lines, doc["sigma_km"])
+        return cls(accident, area, particles, _lines(accident, particles), doc["sigma_km"])
 
 
-def _line(start: GeoPoint, end: GeoPoint) -> CandidateLine:
-    return CandidateLine(start, end, haversine_km(start, end))
+def _lines(start: GeoPoint, particles: tuple[Particle, ...]) -> tuple[CandidateLine, ...]:
+    """One candidate line from `start` to each particle, measured in one call."""
+    lat = np.array([p.position.lat for p in particles])
+    lon = np.array([p.position.lon for p in particles])
+    lengths = haversine_km_arrays(start.lat, start.lon, lat, lon).tolist()
+    return tuple(CandidateLine(start, p.position, d) for p, d in zip(particles, lengths))
 
 
 def build_search_area(
@@ -132,6 +135,5 @@ def build_scenario(
     accident = track.position(spec.accident_index)
     area = build_search_area(forecast, radius_multiplier, radius_floor_km)
     particles = tuple(sample_particles(forecast, k, sigma_multiplier, seed))
-    lines = tuple(_line(accident, p.position) for p in particles)
     sigma_km = sigma_multiplier * forecast.prev_step_error_km
-    return Scenario(accident=accident, area=area, particles=particles, lines=lines, sigma_km=sigma_km)
+    return Scenario(accident=accident, area=area, particles=particles, lines=_lines(accident, particles), sigma_km=sigma_km)

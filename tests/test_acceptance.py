@@ -15,7 +15,7 @@ from scipy.stats import binomtest
 
 from driftsearch.evaluate import monte_carlo_chain, survival_chain
 from driftsearch.forecast import PredictorSpec, benchmark_predictors
-from driftsearch.geo import GeoPoint, LocalVector, from_local, haversine_km, haversine_km_arrays
+from driftsearch.geo import GeoPoint, haversine_km_arrays, local_to_latlon
 from driftsearch.ingest import DrifterRecord, DrifterTrack, _SYNTH_EPOCH
 from driftsearch.model import Deployment, detection_pod, detection_radius_m
 from driftsearch.optimize import FitnessEvaluator, OptimizerConfig, initialize, run
@@ -27,7 +27,8 @@ CENTER = GeoPoint(34.0, 127.0)
 
 
 def offset(north_m: float, east_m: float = 0.0, anchor: GeoPoint = CENTER) -> GeoPoint:
-    return from_local(LocalVector(east_m, north_m), anchor)
+    lat, lon = local_to_latlon(east_m / 1000.0, north_m / 1000.0, anchor)
+    return GeoPoint(float(lat), float(lon))
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +43,9 @@ def grid():
 
 
 def test_criterion_01_geometry_exactness():
-    equator_degree = haversine_km(GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0))
+    equator_degree = haversine_km_arrays(0.0, 0.0, 0.0, 1.0)
     assert abs(equator_degree - 111.19) / 111.19 < 1e-4
-    quarter_meridian = haversine_km(GeoPoint(0.0, 0.0), GeoPoint(90.0, 0.0))
+    quarter_meridian = haversine_km_arrays(0.0, 0.0, 90.0, 0.0)
     assert abs(quarter_meridian - 10007.5) / 10007.5 < 1e-4
 
     rng = np.random.default_rng(0)
@@ -84,9 +85,8 @@ def test_criterion_04_repair_soundness():
             for e_km, n_km in rng.uniform(-1.5 * radius, 1.5 * radius, size=(n, 2))
         ]
         fixed = repair(Deployment.from_points(pts, area))
-        for uav in fixed.uavs:
-            if haversine_km(uav.position, CENTER) > radius + 1e-9:
-                boundary_violations += 1
+        lat, lon = fixed.latlon()
+        boundary_violations += int(np.count_nonzero(haversine_km_arrays(lat, lon, CENTER.lat, CENTER.lon) > radius + 1e-9))
     assert boundary_violations == 0
 
     # (b) packing-feasible fixtures (disc area < 30% of search area): zero
@@ -102,9 +102,11 @@ def test_criterion_04_repair_soundness():
             for e_km, n_km in rng.uniform(-0.5, 0.5, size=(n, 2))
         ]
         fixed = repair(Deployment.from_points(pts, area))
+        lat, lon = fixed.latlon()
+        pairwise_m = haversine_km_arrays(lat[:, None], lon[:, None], lat, lon) * 1000.0
         for i in range(n):
             for j in range(i + 1, n):
-                d_m = haversine_km(fixed.uavs[i].position, fixed.uavs[j].position) * 1000.0
+                d_m = pairwise_m[i, j]
                 if d_m < fixed.uavs[i].detection_radius_m + fixed.uavs[j].detection_radius_m - 1e-6:
                     residual_overlaps += 1
     assert residual_overlaps == 0
@@ -138,7 +140,7 @@ def test_criterion_06_brute_force_fitness_optimum():
     area = SearchArea(CENTER, 2.0)
     accident = offset(0.0, -2500.0)
     endpoint = offset(0.0, 1500.0)
-    line = CandidateLine(accident, endpoint, haversine_km(accident, endpoint))
+    line = CandidateLine(accident, endpoint, float(haversine_km_arrays(accident.lat, accident.lon, endpoint.lat, endpoint.lon)))
     scen = Scenario(accident, area, (Particle(endpoint),), (line,), 1.0)
 
     ev = FitnessEvaluator(scen, unit_m=100.0)

@@ -96,6 +96,39 @@ def test_experiment_config_bad_algorithm_fails_before_any_cell(tmp_path):
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("radius_multiplier", -4.0),
+        ("radius_multiplier", 0.0),
+        ("radius_multiplier", float("nan")),
+        ("sigma_multiplier", -1.0),
+        ("sigma_multiplier", float("inf")),
+        ("radius_floor_km", 0.0),
+    ],
+)
+def test_experiment_config_bad_scenario_setting_fails_before_any_cell(tmp_path, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))  # NaN and inf as Python's json writes them
+    out = tmp_path / "exp-out"
+    with pytest.raises(ValueError, match=key):
+        main(["experiment", "--config", str(config), "--out", str(out)])
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "experiment"])
+@pytest.mark.parametrize(
+    "flag", [["--predictor", "linear"], ["--forecast-file", "fc.csv"], ["--accident-index", "3"], ["--horizon", "4"]]
+)
+def test_accident_flags_need_tracks(command, flag, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flag, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"{flag[0]} given without --tracks" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_is_not_a_subcommand():
     with pytest.raises(SystemExit) as exc:
         main(["validate"])

@@ -17,11 +17,15 @@ from driftsearch.evaluate import (
     segment_trajectory,
     survival_chain,
 )
-from driftsearch.geo import GeoPoint, haversine_km, haversine_km_arrays, latlon_to_local, local_to_latlon
+from driftsearch.geo import GeoPoint, haversine_km_arrays, latlon_to_local, local_to_latlon
 from driftsearch.ingest import DrifterRecord, DrifterTrack, synthesize_track
 from driftsearch.model import MAX_DETECTION_RADIUS_M, Deployment, UavPosition
 from driftsearch.optimize import initialize
 from driftsearch.scenario import SearchArea
+
+
+def dist_km(a: GeoPoint, b: GeoPoint) -> float:
+    return float(haversine_km_arrays(a.lat, a.lon, b.lat, b.lon))
 
 
 def make_track(seed=3, hours=14, drift=0.5, turn=0.3):
@@ -93,7 +97,7 @@ class TestSegmentTrajectory:
     def test_count_is_ceil_length_over_unit(self):
         t = make_track()
         mids = segment_trajectory(t, 6, 12, unit_m=100.0)
-        length_m = sum(haversine_km(t.position(i), t.position(i + 1)) for i in range(6, 12)) * 1000.0
+        length_m = sum(dist_km(t.position(i), t.position(i + 1)) for i in range(6, 12)) * 1000.0
         assert len(mids) == math.ceil(length_m / 100.0) or len(mids) == math.ceil(length_m / 100.0) + 1
 
     def test_midpoints_lie_near_polyline(self):
@@ -101,7 +105,7 @@ class TestSegmentTrajectory:
         mids = segment_trajectory(t, 6, 12, unit_m=50.0)
         for m in mids:
             nearest = min(
-                haversine_km(GeoPoint(*m), t.position(i)) for i in range(6, 13)
+                dist_km(GeoPoint(*m), t.position(i)) for i in range(6, 13)
             )
             # Any midpoint is within half a step of some vertex.
             assert nearest <= 0.26
@@ -109,7 +113,7 @@ class TestSegmentTrajectory:
     def test_first_midpoint_near_start(self):
         t = make_track()
         mids = segment_trajectory(t, 6, 12, unit_m=100.0)
-        assert haversine_km(GeoPoint(*mids[0]), t.position(6)) * 1000.0 == pytest.approx(50.0, abs=1.0)
+        assert dist_km(GeoPoint(*mids[0]), t.position(6)) * 1000.0 == pytest.approx(50.0, abs=1.0)
 
     def test_finer_unit_more_segments(self):
         t = make_track()
@@ -164,7 +168,7 @@ class TestCoverage:
         t = make_track()
         dep = Deployment((UavPosition(t.position(9), 600.0),), SearchArea(t.position(9), 3.0))
         report = coverage(dep, t, 6, 12)
-        expected = sum(haversine_km(t.position(i), t.position(i + 1)) for i in range(6, 12))
+        expected = sum(dist_km(t.position(i), t.position(i + 1)) for i in range(6, 12))
         assert report.trajectory_length_km == pytest.approx(expected)
 
     def test_segment_pods_read_only_and_not_compared(self):

@@ -2,16 +2,22 @@
 
 import csv
 import json
+import random
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from driftsearch import experiment
-from driftsearch.forecast import forecast_scenario
-from driftsearch.geo import GeoPoint, haversine_km
-from driftsearch.ingest import DrifterTrack
+from driftsearch.evaluate import coverage
+from driftsearch.forecast import PredictorSpec, forecast_scenario
+from driftsearch.geo import GeoPoint, haversine_km_arrays
+from driftsearch.ingest import AccidentSpec, DrifterTrack, synthesize_track
+from driftsearch.model import Deployment
+from driftsearch.optimize import FitnessEvaluator
+from driftsearch.scenario import build_scenario
 from driftsearch.experiment import (
     ExperimentSpec,
     ResultRow,
@@ -98,23 +104,63 @@ class TestSpecValidation:
             replace(default_spec(), **overrides)
 
 
+def shifted(track: DrifterTrack, delta: float) -> DrifterTrack:
+    """`track` with every longitude moved by `delta` degrees (and wrapped)."""
+    records = tuple(replace(r, position=GeoPoint(r.position.lat, r.position.lon + delta)) for r in track.records)
+    return DrifterTrack(track.id, records)
+
+
+def local_outcomes(track: DrifterTrack, seed: int) -> tuple[float, list[int], list[int]]:
+    """Search radius, fitness of 20 deployments drawn in the area's local plane
+    and the 1 m ``n_covered`` of the first 5, for an accident at record 6 with
+    a 6-hour horizon."""
+    accident = AccidentSpec(track.id, 6, 6)
+    fc = forecast_scenario(track, accident, PredictorSpec("linear-extrapolation"))
+    scen = build_scenario(track, accident, fc, k=10, seed=0)
+    ev = FitnessEvaluator(scen)
+    draws = np.random.default_rng(seed)
+    deployments = [draws.uniform(-0.7, 0.7, (draws.integers(1, 9), 2)) * scen.area.radius_km for _ in range(20)]
+    fitness = [ev.evaluate_coords(c).score for c in deployments]
+    n_covered = [coverage(Deployment.from_coords(c, scen.area), track, 6, 12).n_covered for c in deployments[:5]]
+    return scen.area.radius_km, fitness, n_covered
+
+
 class TestRunCell:
     @pytest.mark.parametrize("shift", [53.0, -307.0])
     def test_longitude_shift_across_antimeridian(self, tiny_spec, shift):
         # I-1 starts at lon 127, so both shifts put its history on both sides
         # of +-180; the forecast and the cell must just move with the track.
         inst = tiny_spec.instances[0]
-        records = tuple(
-            replace(r, position=GeoPoint(r.position.lat, r.position.lon + shift)) for r in inst.track.records
-        )
-        shifted = replace(inst, track=DrifterTrack(inst.track.id, records))
+        shifted_inst = replace(inst, track=shifted(inst.track, shift))
         fc = forecast_scenario(inst.track, inst.accident, inst.predictor)
-        moved = forecast_scenario(shifted.track, shifted.accident, shifted.predictor)
-        assert haversine_km(moved.predicted, GeoPoint(fc.predicted.lat, fc.predicted.lon + shift)) < 1e-6
+        moved = forecast_scenario(shifted_inst.track, shifted_inst.accident, shifted_inst.predictor)
+        expected = GeoPoint(fc.predicted.lat, fc.predicted.lon + shift)
+        assert haversine_km_arrays(moved.predicted.lat, moved.predicted.lon, expected.lat, expected.lon) < 1e-6
         assert moved.prev_step_error_km == pytest.approx(fc.prev_step_error_km, rel=1e-9)
-        row = run_cell(shifted, 4, 8, "sa", 0, tiny_spec)
+        row = run_cell(shifted_inst, 4, 8, "sa", 0, tiny_spec)
         base = run_cell(inst, 4, 8, "sa", 0, tiny_spec)
         assert (row.best_fitness, row.coverage) == (base.best_fitness, pytest.approx(base.coverage, abs=1e-6))
+
+    def test_longitude_translation_of_random_tracks(self):
+        # Random-start tracks shifted by a whole turn, by generic amounts and
+        # onto +-180 from either side: radius, fitness of fixed local
+        # deployments and 1 m coverage must move with the track. Counts may
+        # differ only for midpoints within rounding of a disc edge.
+        rng = random.Random(11)
+        radius_misses, fitness_misses, covered = 0, 0, []
+        for _ in range(60):
+            start = GeoPoint(rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0))
+            track = synthesize_track(rng.randrange(2**31), 16, start, rng.uniform(0.3, 1.5), rng.uniform(0.1, 0.8))
+            seed, lon = rng.randrange(2**31), track.position(6).lon
+            radius, fitness, n_covered = local_outcomes(track, seed)
+            for delta in (53.0, -307.0, 360.0, 180.0 - lon, -180.0 - lon):
+                moved_radius, moved_fitness, moved_covered = local_outcomes(shifted(track, delta), seed)
+                radius_misses += moved_radius != pytest.approx(radius, rel=1e-9)
+                fitness_misses += moved_fitness != fitness
+                covered += zip(moved_covered, n_covered)
+        assert radius_misses == 0 and fitness_misses == 0
+        assert sum(a == b for a, b in covered) >= 0.99 * len(covered)
+        assert max(abs(a - b) for a, b in covered) <= 1
 
     def test_row_fields(self, tiny_spec):
         inst = tiny_spec.instances[0]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftsearch.geo import GeoPoint, LocalVector, from_local, haversine_km
+from driftsearch.geo import GeoPoint, haversine_km_arrays
 from driftsearch.ingest import AccidentSpec, DrifterRecord, DrifterTrack, synthesize_track, _SYNTH_EPOCH
 from driftsearch.forecast import (
     InsufficientHistory,
@@ -122,7 +122,8 @@ class TestForecastScenario:
         fc = forecast_scenario(t, spec, predictor)
         preds = predict_recursive(t, 6, 6, predictor)
         assert fc.predicted == preds[5]
-        expected = haversine_km(preds[4], t.position(6 + 5))
+        truth = t.position(6 + 5)
+        expected = haversine_km_arrays(preds[4].lat, preds[4].lon, truth.lat, truth.lon)
         assert fc.prev_step_error_km == pytest.approx(expected)
         assert fc.history_used == 7
 

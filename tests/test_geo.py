@@ -1,4 +1,4 @@
-"""Geometry primitives: haversine and the local tangent plane."""
+"""Geometry primitives: the haversine kernel and the local tangent plane."""
 
 import math
 
@@ -11,10 +11,7 @@ from driftsearch.geo import (
     EARTH_RADIUS_KM,
     METERS_PER_DEGREE,
     GeoPoint,
-    LocalVector,
     MidpointIndex,
-    from_local,
-    haversine_km,
     haversine_km_arrays,
     latlon_to_local,
     local_to_latlon,
@@ -55,39 +52,39 @@ class TestEarthModel:
 
 class TestHaversine:
     def test_zero_distance(self):
-        p = GeoPoint(12.3, 45.6)
-        assert haversine_km(p, p) == 0.0
+        assert haversine_km_arrays(12.3, 45.6, 12.3, 45.6) == 0.0
 
     def test_equatorial_degree(self):
         # One degree of longitude on the equator is one 360th of the equator.
-        d = haversine_km(GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0))
+        d = haversine_km_arrays(0.0, 0.0, 0.0, 1.0)
         assert d == pytest.approx(2.0 * math.pi * 6371.0 / 360.0, rel=1e-12)
 
     def test_quarter_meridian(self):
-        d = haversine_km(GeoPoint(0.0, 0.0), GeoPoint(90.0, 0.0))
+        d = haversine_km_arrays(0.0, 0.0, 90.0, 0.0)
         assert d == pytest.approx(math.pi * 6371.0 / 2.0, rel=1e-12)
 
     def test_antipodal(self):
-        d = haversine_km(GeoPoint(0.0, 0.0), GeoPoint(0.0, 180.0))
+        d = haversine_km_arrays(0.0, 0.0, 0.0, 180.0)
         assert d == pytest.approx(math.pi * 6371.0, rel=1e-12)
 
     def test_symmetry(self):
-        a, b = GeoPoint(51.5, -0.12), GeoPoint(48.85, 2.35)
-        assert haversine_km(a, b) == pytest.approx(haversine_km(b, a))
+        d_ab = haversine_km_arrays(51.5, -0.12, 48.85, 2.35)
+        assert d_ab == pytest.approx(haversine_km_arrays(48.85, 2.35, 51.5, -0.12))
 
     def test_known_city_pair(self):
         # Nashville (BNA) to Los Angeles (LAX), the textbook haversine example:
         # 2887.26 km on a 6372.8 km sphere, rescaled to this mean radius.
-        d = haversine_km(GeoPoint(36.12, -86.67), GeoPoint(33.94, -118.40))
+        d = haversine_km_arrays(36.12, -86.67, 33.94, -118.40)
         assert d == pytest.approx(2887.2599 * 6371.0 / 6372.8, abs=0.01)
 
     def test_array_version_matches_scalar(self):
+        # A batched call may differ from one call per pair in the last bit only.
         rng = np.random.default_rng(3)
         lat1, lat2 = rng.uniform(-80, 80, 20), rng.uniform(-80, 80, 20)
         lon1, lon2 = rng.uniform(-180, 180, 20), rng.uniform(-180, 180, 20)
         batch = haversine_km_arrays(lat1, lon1, lat2, lon2)
         for i in range(20):
-            single = haversine_km(GeoPoint(lat1[i], lon1[i]), GeoPoint(lat2[i], lon2[i]))
+            single = haversine_km_arrays(float(lat1[i]), float(lon1[i]), float(lat2[i]), float(lon2[i]))
             assert batch[i] == pytest.approx(single, rel=1e-12)
 
     def test_array_broadcasting(self):
@@ -99,57 +96,48 @@ class TestHaversine:
         assert np.allclose(grid, grid.T)
 
 
-def to_local(p: GeoPoint, anchor: GeoPoint) -> LocalVector:
-    """One point through :func:`latlon_to_local`, in meters."""
+def to_local(p: GeoPoint, anchor: GeoPoint) -> tuple[float, float]:
+    """One point through :func:`latlon_to_local`, as (east, north) in meters."""
     east_km, north_km = latlon_to_local(p.lat, p.lon, anchor)
-    return LocalVector(float(east_km) * 1000.0, float(north_km) * 1000.0)
+    return float(east_km) * 1000.0, float(north_km) * 1000.0
 
 
 class TestTangentPlane:
     def test_round_trip(self):
         anchor = GeoPoint(34.0, 127.0)
         p = GeoPoint(34.03, 127.05)
-        back = from_local(to_local(p, anchor), anchor)
-        assert back.lat == pytest.approx(p.lat, abs=1e-12)
-        assert back.lon == pytest.approx(p.lon, abs=1e-12)
+        east_m, north_m = to_local(p, anchor)
+        lat, lon = local_to_latlon(east_m / 1000.0, north_m / 1000.0, anchor)
+        assert lat == pytest.approx(p.lat, abs=1e-12)
+        assert lon == pytest.approx(p.lon, abs=1e-12)
 
     def test_north_displacement(self):
         anchor = GeoPoint(10.0, 20.0)
-        v = to_local(GeoPoint(10.01, 20.0), anchor)
-        assert v.east_m == pytest.approx(0.0, abs=1e-9)
-        assert v.north_m == pytest.approx(0.01 * METERS_PER_DEGREE)
+        east_m, north_m = to_local(GeoPoint(10.01, 20.0), anchor)
+        assert east_m == pytest.approx(0.0, abs=1e-9)
+        assert north_m == pytest.approx(0.01 * METERS_PER_DEGREE)
 
     def test_east_displacement_shrinks_with_latitude(self):
-        v_eq = to_local(GeoPoint(0.0, 1.0), GeoPoint(0.0, 0.0))
-        v_60 = to_local(GeoPoint(60.0, 1.0), GeoPoint(60.0, 0.0))
-        assert v_60.east_m == pytest.approx(v_eq.east_m * math.cos(math.radians(60.0)), rel=1e-9)
+        east_eq, _ = to_local(GeoPoint(0.0, 1.0), GeoPoint(0.0, 0.0))
+        east_60, _ = to_local(GeoPoint(60.0, 1.0), GeoPoint(60.0, 0.0))
+        assert east_60 == pytest.approx(east_eq * math.cos(math.radians(60.0)), rel=1e-9)
 
     def test_local_distance_matches_haversine_at_small_scale(self):
         anchor = GeoPoint(34.0, 127.0)
         p = GeoPoint(34.02, 127.03)
-        v = to_local(p, anchor)
-        planar_km = math.hypot(v.east_m, v.north_m) / 1000.0
-        assert planar_km == pytest.approx(haversine_km(anchor, p), rel=1e-4)
+        planar_km = math.hypot(*to_local(p, anchor)) / 1000.0
+        assert planar_km == pytest.approx(haversine_km_arrays(anchor.lat, anchor.lon, p.lat, p.lon), rel=1e-4)
 
     def test_array_helpers_match_scalars(self):
         anchor = GeoPoint(33.5, 126.5)
         pts = [GeoPoint(33.52, 126.48), GeoPoint(33.47, 126.55)]
         east, north = latlon_to_local([p.lat for p in pts], [p.lon for p in pts], anchor)
         for i, p in enumerate(pts):
-            v = to_local(p, anchor)
-            assert east[i] * 1000.0 == v.east_m
-            assert north[i] * 1000.0 == v.north_m
+            assert (east[i] * 1000.0, north[i] * 1000.0) == to_local(p, anchor)
         lat, lon = local_to_latlon(east, north, anchor)
         for i, p in enumerate(pts):
-            q = from_local(LocalVector(east[i] * 1000.0, north[i] * 1000.0), anchor)
-            assert lat[i] == pytest.approx(q.lat, abs=1e-12)
-            assert lon[i] == pytest.approx(q.lon, abs=1e-12)
             assert lat[i] == pytest.approx(p.lat, abs=1e-12)
             assert lon[i] == pytest.approx(p.lon, abs=1e-12)
-
-    def test_non_finite_vector_rejected(self):
-        with pytest.raises(ValueError):
-            LocalVector(float("nan"), 0.0)
 
 
 def seed_haversine_km(lat1, lon1, lat2, lon2, radius_km=6371.0):

@@ -6,7 +6,7 @@ import pytest
 
 from driftsearch.evaluate import EvaluationConfig, coverage
 from driftsearch.forecast import Forecast
-from driftsearch.geo import GeoPoint, haversine_km
+from driftsearch.geo import GeoPoint, haversine_km_arrays
 from driftsearch.geojson import circle_ring, export_geojson
 from driftsearch.ingest import AccidentSpec, synthesize_track
 from driftsearch.optimize import OptimizerConfig, run
@@ -33,7 +33,7 @@ class TestCircleRing:
     def test_points_on_radius(self):
         center = GeoPoint(34.0, 127.0)
         for lon, lat in circle_ring(center, 2.0, n=16)[:-1]:
-            assert haversine_km(GeoPoint(lat, lon), center) == pytest.approx(2.0, abs=0.002)
+            assert haversine_km_arrays(lat, lon, center.lat, center.lon) == pytest.approx(2.0, abs=0.002)
 
 
 class TestExportGeojson:

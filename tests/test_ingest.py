@@ -2,9 +2,10 @@
 
 from datetime import timedelta
 
+import numpy as np
 import pytest
 
-from driftsearch.geo import GeoPoint, haversine_km
+from driftsearch.geo import GeoPoint, haversine_km_arrays
 from driftsearch.ingest import (
     AccidentSpec,
     DrifterRecord,
@@ -137,9 +138,10 @@ class TestSynthesizeTrack:
 
     def test_step_length_exact(self):
         t = synthesize_track(seed=1, hours=12, start=GeoPoint(34.0, 127.0), drift_kmh=0.65, turn_sigma=0.4)
-        for i in range(11):
-            step = haversine_km(t.position(i), t.position(i + 1))
-            assert step == pytest.approx(0.65, rel=1e-4)
+        lat = np.array([t.position(i).lat for i in range(12)])
+        lon = np.array([t.position(i).lon for i in range(12)])
+        steps = haversine_km_arrays(lat[:-1], lon[:-1], lat[1:], lon[1:])
+        assert steps == pytest.approx(np.full(11, 0.65), rel=1e-4)
 
     def test_hourly_timestamps(self):
         t = synthesize_track(seed=1, hours=5, start=GeoPoint(34.0, 127.0), drift_kmh=0.5, turn_sigma=0.1)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from driftsearch.geo import GeoPoint, LocalVector, from_local, haversine_km, local_to_latlon
+from driftsearch.geo import GeoPoint, haversine_km_arrays, local_to_latlon
 from driftsearch.model import (
     MAX_DETECTION_RADIUS_M,
     MIN_DETECTION_RADIUS_M,
@@ -20,13 +20,13 @@ from driftsearch.scenario import SearchArea
 CENTER = GeoPoint(34.0, 127.0)
 
 
-def at_distance_km(d_km: float, angle: float = 0.3) -> GeoPoint:
-    return from_local(LocalVector(d_km * 1000.0 * math.cos(angle), d_km * 1000.0 * math.sin(angle)), CENTER)
-
-
 def at(east_km: float, north_km: float) -> GeoPoint:
     lat, lon = local_to_latlon(east_km, north_km, CENTER)
     return GeoPoint(float(lat), float(lon))
+
+
+def at_distance_km(d_km: float, angle: float = 0.3) -> GeoPoint:
+    return at(d_km * math.cos(angle), d_km * math.sin(angle))
 
 
 class TestRadiusLaw:
@@ -37,7 +37,7 @@ class TestRadiusLaw:
 
     def test_scalar_radius_uses_the_law(self):
         p = at_distance_km(0.7)
-        assert detection_radius_m(p, CENTER) == radius_law(haversine_km(p, CENTER))
+        assert detection_radius_m(p, CENTER) == radius_law(haversine_km_arrays(p.lat, p.lon, CENTER.lat, CENTER.lon))
 
 
 class TestDetectionRadius:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftsearch.forecast import Forecast
-from driftsearch.geo import EARTH_RADIUS_KM, METERS_PER_DEGREE, GeoPoint, LocalVector, from_local, haversine_km, local_to_latlon
+from driftsearch.geo import EARTH_RADIUS_KM, METERS_PER_DEGREE, GeoPoint, haversine_km_arrays, local_to_latlon
 from driftsearch.ingest import AccidentSpec, synthesize_track
 from driftsearch.optimize import (
     FitnessEvaluator,
@@ -19,7 +19,7 @@ from driftsearch.optimize import (
     initialize,
     run,
 )
-from driftsearch.scenario import CandidateLine, Particle, Scenario, SearchArea, build_scenario
+from driftsearch.scenario import Particle, Scenario, SearchArea, _lines, build_scenario
 
 
 def small_scenario(k=8, seed=3, error_km=0.6):
@@ -27,6 +27,17 @@ def small_scenario(k=8, seed=3, error_km=0.6):
     spec = AccidentSpec(track.id, 6, 6)
     fc = Forecast(track.position(9), error_km, 7)
     return build_scenario(track, spec, fc, k=k, seed=seed)
+
+
+def at(center: GeoPoint, east_km: float, north_km: float) -> GeoPoint:
+    lat, lon = local_to_latlon(east_km, north_km, center)
+    return GeoPoint(float(lat), float(lon))
+
+
+def center_km(dep) -> np.ndarray:
+    """Each UAV's distance from the center of the deployment's area."""
+    lat, lon = dep.latlon()
+    return haversine_km_arrays(lat, lon, dep.area.center.lat, dep.area.center.lon)
 
 
 class TestConfig:
@@ -84,7 +95,7 @@ class TestFitnessEvaluator:
 
         scen = small_scenario()
         dep = initialize(6, scen.area, 2)
-        other = SearchArea(from_local(LocalVector(3000.0, -2000.0), scen.area.center), 1.0)
+        other = SearchArea(at(scen.area.center, 3.0, -2.0), 1.0)
         assert fitness(dep, scen).score > 0
         assert fitness(Deployment(dep.uavs, other), scen) == fitness(dep, scen)
 
@@ -115,8 +126,7 @@ class TestInitialize:
         scen = small_scenario()
         for seed in range(10):
             dep = initialize(6, scen.area, seed)
-            for uav in dep.uavs:
-                assert haversine_km(uav.position, scen.area.center) <= scen.area.radius_km + 1e-9
+            assert (center_km(dep) <= scen.area.radius_km + 1e-9).all()
 
     def test_deterministic(self):
         scen = small_scenario()
@@ -131,14 +141,17 @@ class TestRunners:
         result = run(scen, config)
         assert result.evals_used == 120
 
-    def test_deterministic(self, algorithm):
+    @settings(max_examples=6, deadline=None)
+    @given(n_uavs=st.integers(1, 12), seed=st.integers(0, 2**63 - 1))
+    def test_deterministic(self, algorithm, n_uavs, seed):
         scen = small_scenario()
-        config = OptimizerConfig(algorithm, n_uavs=4, budget_evals=120, seed=1)
+        config = OptimizerConfig(algorithm, n_uavs=n_uavs, budget_evals=120, seed=seed)
         a = run(scen, config)
         b = run(scen, config)
         assert a.best_fitness == b.best_fitness
         assert a.best == b.best
         assert a.history == b.history
+        assert a.evals_used == b.evals_used
 
     def test_history_monotone(self, algorithm):
         scen = small_scenario()
@@ -148,8 +161,7 @@ class TestRunners:
     def test_best_within_area(self, algorithm):
         scen = small_scenario()
         result = run(scen, OptimizerConfig(algorithm, n_uavs=4, budget_evals=120, seed=3))
-        for uav in result.best.uavs:
-            assert haversine_km(uav.position, scen.area.center) <= scen.area.radius_km + 1e-6
+        assert (center_km(result.best) <= scen.area.radius_km + 1e-6).all()
 
     def test_reported_fitness_matches_deployment(self, algorithm):
         scen = small_scenario()
@@ -188,9 +200,11 @@ class TestRepairedAlgorithmsRespectOverlap:
         scen = small_scenario(error_km=1.2)  # roomy area: repair can always succeed
         result = run(scen, OptimizerConfig(algorithm, n_uavs=4, budget_evals=150, seed=5))
         uavs = result.best.uavs
+        lat, lon = result.best.latlon()
+        pairwise_m = haversine_km_arrays(lat[:, None], lon[:, None], lat, lon) * 1000.0
         for i in range(len(uavs)):
             for j in range(i + 1, len(uavs)):
-                d_m = haversine_km(uavs[i].position, uavs[j].position) * 1000.0
+                d_m = pairwise_m[i, j]
                 assert d_m >= uavs[i].detection_radius_m + uavs[j].detection_radius_m - 1e-6
 
 
@@ -218,12 +232,9 @@ def dense_detected(ev: FitnessEvaluator, coords_km: np.ndarray) -> int:
 
 def fan_scenario(center: GeoPoint, ends_km, accident_km=(0.5, -0.8), radius_km=3.0) -> Scenario:
     """Candidate lines from one accident point to particles at local offsets (km)."""
-    accident = from_local(LocalVector(accident_km[0] * 1000.0, accident_km[1] * 1000.0), center)
-    particles = tuple(Particle(from_local(LocalVector(e * 1000.0, n * 1000.0), center)) for e, n in ends_km)
-    lines = tuple(
-        CandidateLine(accident, p.position, haversine_km(accident, p.position)) for p in particles
-    )
-    return Scenario(accident, SearchArea(center, radius_km), particles, lines, 1.0)
+    accident = at(center, *accident_km)
+    particles = tuple(Particle(at(center, e, n)) for e, n in ends_km)
+    return Scenario(accident, SearchArea(center, radius_km), particles, _lines(accident, particles), 1.0)
 
 
 offsets_km = st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftsearch.geo import GeoPoint, haversine_km, local_to_latlon
+from driftsearch.geo import GeoPoint, haversine_km_arrays, local_to_latlon
 from driftsearch.model import Deployment
 from driftsearch.repair import RepairConfig, pairwise_repulsion, repair, repair_coords
 from driftsearch.scenario import SearchArea
@@ -16,14 +16,21 @@ from driftsearch.scenario import SearchArea
 CENTER = GeoPoint(34.0, 127.0)
 
 
+def center_km(dep: Deployment) -> np.ndarray:
+    """Each UAV's distance from CENTER."""
+    lat, lon = dep.latlon()
+    return haversine_km_arrays(lat, lon, CENTER.lat, CENTER.lon)
+
+
 def min_gap_m(dep: Deployment) -> float:
     """Smallest pairwise surplus distance beyond touching discs, in meters."""
+    lat, lon = dep.latlon()
+    pairwise_m = haversine_km_arrays(lat[:, None], lon[:, None], lat, lon) * 1000.0
     gaps = []
     for i in range(len(dep)):
         for j in range(i + 1, len(dep)):
             a, b = dep.uavs[i], dep.uavs[j]
-            d_m = haversine_km(a.position, b.position) * 1000.0
-            gaps.append(d_m - (a.detection_radius_m + b.detection_radius_m))
+            gaps.append(pairwise_m[i, j] - (a.detection_radius_m + b.detection_radius_m))
     return min(gaps) if gaps else math.inf
 
 
@@ -99,54 +106,35 @@ class TestRepairDeployment:
     def area(self, radius_km=4.0):
         return SearchArea(CENTER, radius_km)
 
-    def spread_points(self, offsets_km):
-        from driftsearch.geo import LocalVector, from_local
-
-        return [from_local(LocalVector(e * 1000.0, n * 1000.0), CENTER) for e, n in offsets_km]
+    def spread(self, offsets_km, radius_km=4.0):
+        return Deployment.from_coords(np.array(offsets_km), self.area(radius_km))
 
     def test_feasible_input_is_identity(self):
-        dep = Deployment.from_points(
-            self.spread_points([(0.0, 0.0), (2.5, 0.0), (-2.5, 0.0), (0.0, 2.5)]), self.area()
-        )
+        dep = self.spread([(0.0, 0.0), (2.5, 0.0), (-2.5, 0.0), (0.0, 2.5)])
         assert repair(dep) is dep
 
     def test_boundary_restored(self):
-        dep = Deployment.from_points(self.spread_points([(9.0, 0.0), (0.0, -7.0)]), self.area())
-        fixed = repair(dep)
-        for uav in fixed.uavs:
-            assert haversine_km(uav.position, CENTER) <= 4.0 + 1e-9
+        fixed = repair(self.spread([(9.0, 0.0), (0.0, -7.0)]))
+        assert (center_km(fixed) <= 4.0 + 1e-9).all()
 
     def test_overlap_resolved_when_room_exists(self):
-        dep = Deployment.from_points(
-            self.spread_points([(0.0, 0.0), (0.3, 0.0), (0.0, 0.3), (-0.3, 0.0)]), self.area(6.0)
-        )
-        fixed = repair(dep)
+        fixed = repair(self.spread([(0.0, 0.0), (0.3, 0.0), (0.0, 0.3), (-0.3, 0.0)], 6.0))
         assert min_gap_m(fixed) >= 0.0
 
     def test_radii_recomputed_after_moving(self):
-        dep = Deployment.from_points(self.spread_points([(0.0, 0.0), (0.05, 0.0)]), self.area())
-        fixed = repair(dep)
-        for uav in fixed.uavs:
-            d_km = haversine_km(uav.position, CENTER)
+        fixed = repair(self.spread([(0.0, 0.0), (0.05, 0.0)]))
+        for uav, d_km in zip(fixed.uavs, center_km(fixed)):
             expected = min(600.0, max(200.0, -200.0 * d_km + 600.0))
             assert uav.detection_radius_m == pytest.approx(expected, abs=1e-6)
 
     def test_random_fuzz_bounds_and_overlap(self):
         """Random infeasible deployments: bounds always restored, overlaps
         resolved whenever the packing leaves room."""
-        from driftsearch.geo import LocalVector, from_local
-
         rng = np.random.default_rng(17)
-        area = self.area(5.0)
         for _ in range(50):
             n = int(rng.integers(2, 9))
-            pts = [
-                from_local(LocalVector(float(e) * 1000.0, float(n_) * 1000.0), CENTER)
-                for e, n_ in rng.uniform(-7.0, 7.0, size=(n, 2))
-            ]
-            fixed = repair(Deployment.from_points(pts, area))
-            for uav in fixed.uavs:
-                assert haversine_km(uav.position, CENTER) <= 5.0 + 1e-9
+            fixed = repair(self.spread(rng.uniform(-7.0, 7.0, size=(n, 2)), 5.0))
+            assert (center_km(fixed) <= 5.0 + 1e-9).all()
             # 8 discs of <= 600 m radius pack easily into a 5 km circle.
             assert min_gap_m(fixed) >= -1e-6
 
