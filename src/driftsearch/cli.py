@@ -15,7 +15,6 @@ from .forecast import PredictorSpec, benchmark_predictors, forecast_scenario
 from .geojson import export_geojson
 from .ingest import AccidentSpec, load_tracks
 from .optimize import ALGORITHMS, OptimizerConfig, run
-from .repair import RepairConfig
 from .experiment import (
     ExperimentSpec,
     InstanceSpec,
@@ -93,8 +92,6 @@ def _spec_from_config(path: str) -> ExperimentSpec:
     if unknown:
         raise ValueError(f"unknown key(s) in experiment config {path}: {', '.join(unknown)}")
     fields = {key: tuple(value) if isinstance(value, list) else value for key, value in doc.items()}
-    if "repair" in doc:
-        fields["repair"] = RepairConfig(**doc["repair"])
     return dataclasses.replace(default_spec(), **fields)
 
 
@@ -131,17 +128,22 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         # Defaults are filled in by main(), which must see whether a flag was given.
         p.add_argument("--tracks", help="drifter track CSV (default: built-in synthetic instances)")
-        p.add_argument("--predictor", choices=["persistence", "linear", "external"], help="default: persistence")
         p.add_argument("--forecast-file", help="external per-step forecast CSV (step,lat,lon)")
         p.add_argument("--horizon", type=int, help="default: 6")
+
+    def add_accident(p):
+        add_common(p)
+        p.add_argument("--predictor", choices=["persistence", "linear", "external"], help="default: persistence")
         p.add_argument("--accident-index", type=int, help="default: 6")
 
+    # predict scores every predictor, each track's accident placed --horizon
+    # records before its end, so argparse refuses --predictor and --accident-index.
     p = sub.add_parser("predict", help="benchmark predictors on tracks")
     add_common(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("plan", help="plan a single deployment and export GeoJSON")
-    add_common(p)
+    add_accident(p)
     p.add_argument("--algo", choices=ALGORITHMS, default="ga")
     p.add_argument("--uavs", type=int, default=6)
     p.add_argument("--particles", type=int, default=10)
@@ -150,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("experiment", help="run the full comparison grid")
-    add_common(p)
+    add_accident(p)
     p.add_argument("--config", help="experiment spec JSON")
     p.add_argument("--algo", nargs="*", choices=ALGORITHMS)
     p.add_argument("--uavs", nargs="*", type=int)
@@ -169,11 +171,11 @@ _TRACK_FLAGS = {"predictor": "persistence", "forecast_file": None, "horizon": 6,
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    given = ", ".join("--" + name.replace("_", "-") for name in _TRACK_FLAGS if getattr(args, name) is not None)
+    given = ", ".join("--" + name.replace("_", "-") for name in _TRACK_FLAGS if getattr(args, name, None) is not None)
     if given and args.command != "predict" and not args.tracks:
         parser.error(f"{given} given without --tracks; the built-in instances fix their own predictor and accident")
     for name, default in _TRACK_FLAGS.items():
-        if getattr(args, name) is None:
+        if getattr(args, name, None) is None:
             setattr(args, name, default)
     return args.func(args)
 

@@ -16,7 +16,7 @@ import itertools
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -26,7 +26,6 @@ from .geo import GeoPoint
 from .geojson import export_geojson
 from .ingest import AccidentSpec, DrifterTrack, synthesize_track
 from .optimize import ALGORITHMS, OptimizerConfig, run
-from .repair import RepairConfig
 from .scenario import (
     DEFAULT_RADIUS_FLOOR_KM,
     DEFAULT_RADIUS_MULTIPLIER,
@@ -64,7 +63,6 @@ class ExperimentSpec:
     radius_multiplier: float = DEFAULT_RADIUS_MULTIPLIER
     sigma_multiplier: float = DEFAULT_SIGMA_MULTIPLIER
     radius_floor_km: float = DEFAULT_RADIUS_FLOOR_KM
-    repair: RepairConfig = field(default_factory=RepairConfig)
 
     def __post_init__(self) -> None:
         for name, seq in (
@@ -86,7 +84,7 @@ class ExperimentSpec:
             raise ValueError(f"radius_floor_km must be positive, got {self.radius_floor_km}")
         # Fail on a bad algorithm, UAV count, budget or unit before any cell runs.
         for algorithm, n_uavs in itertools.product(self.algorithms, self.uav_counts):
-            OptimizerConfig(algorithm, n_uavs, self.budget_evals, repair=self.repair, fitness_unit_m=self.fitness_unit_m)
+            OptimizerConfig(algorithm, n_uavs, self.budget_evals, fitness_unit_m=self.fitness_unit_m)
         EvaluationConfig(self.eval_unit_m, self.k0)
 
 
@@ -172,7 +170,6 @@ def run_cell(
         n_uavs=n_uavs,
         budget_evals=spec.budget_evals,
         seed=seed,
-        repair=spec.repair,
         fitness_unit_m=spec.fitness_unit_m,
     )
     start = time.perf_counter()

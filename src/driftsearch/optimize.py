@@ -16,13 +16,13 @@ BLX alpha, mutation rate, PSO weights, SA schedule); GA always crosses over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geo import MidpointIndex, haversine_km_arrays, latlon_to_local, local_to_latlon
 from .model import MAX_DETECTION_RADIUS_M, Deployment, radius_law
-from .repair import RepairConfig, repair_coords
+from .repair import repair_coords
 from .scenario import Scenario, SearchArea
 
 ALGORITHMS = ("random", "sa", "pso", "ga")
@@ -47,7 +47,6 @@ class OptimizerConfig:
     n_uavs: int
     budget_evals: int = 2500
     seed: int = 0
-    repair: RepairConfig = field(default_factory=RepairConfig)
     fitness_unit_m: float = 100.0
 
     def __post_init__(self) -> None:
@@ -200,10 +199,7 @@ def run_ga(scenario: Scenario, config: OptimizerConfig) -> OptimizationResult:
     radius = area.radius_km
     center = area.center
 
-    def repaired(coords: np.ndarray) -> np.ndarray:
-        return repair_coords(coords, radius, center, config.repair)
-
-    pop = [repaired(_random_coords(config.n_uavs, radius, rng)) for _ in range(POP_SIZE)]
+    pop = [repair_coords(_random_coords(config.n_uavs, radius, rng), radius, center) for _ in range(POP_SIZE)]
     fits = [ev.evaluate_coords(c) for c in pop]
     best_idx = max(range(len(pop)), key=lambda i: fits[i].score)
     best_coords, best_fv = pop[best_idx], fits[best_idx]
@@ -221,7 +217,7 @@ def run_ga(scenario: Scenario, config: OptimizerConfig) -> OptimizationResult:
                 n_reset = int(reset.sum())
                 if n_reset:
                     child[reset] = _random_coords(n_reset, radius, rng)
-                offspring.append(repaired(child))
+                offspring.append(repair_coords(child, radius, center))
                 if len(offspring) == n_offspring:
                     break
             if len(offspring) == n_offspring:
@@ -247,10 +243,7 @@ def run_pso(scenario: Scenario, config: OptimizerConfig) -> OptimizationResult:
     radius = area.radius_km
     center = area.center
 
-    pos = [
-        repair_coords(_random_coords(config.n_uavs, radius, rng), radius, center, config.repair)
-        for _ in range(POP_SIZE)
-    ]
+    pos = [repair_coords(_random_coords(config.n_uavs, radius, rng), radius, center) for _ in range(POP_SIZE)]
     vel = [np.zeros((config.n_uavs, 2)) for _ in range(POP_SIZE)]
     fits = [ev.evaluate_coords(c) for c in pos]
     pbest = [c.copy() for c in pos]
@@ -269,7 +262,7 @@ def run_pso(scenario: Scenario, config: OptimizerConfig) -> OptimizationResult:
                 + PSO_C1 * r1 * (pbest[i] - pos[i])
                 + PSO_C2 * r2 * (gbest - pos[i])
             )
-            pos[i] = repair_coords(pos[i] + vel[i], radius, center, config.repair)
+            pos[i] = repair_coords(pos[i] + vel[i], radius, center)
             fv = ev.evaluate_coords(pos[i])
             if fv.score > pbest_f[i].score:
                 pbest[i], pbest_f[i] = pos[i].copy(), fv
@@ -292,7 +285,7 @@ def run_sa(scenario: Scenario, config: OptimizerConfig) -> OptimizationResult:
     radius = area.radius_km
     center = area.center
 
-    current = repair_coords(_random_coords(config.n_uavs, radius, rng), radius, center, config.repair)
+    current = repair_coords(_random_coords(config.n_uavs, radius, rng), radius, center)
     current_f = ev.evaluate_coords(current)
     best, best_f = current, current_f
     temperature = SA_T0
@@ -307,7 +300,7 @@ def run_sa(scenario: Scenario, config: OptimizerConfig) -> OptimizationResult:
         candidate = current.copy()
         uav = int(rng.integers(config.n_uavs))
         candidate[uav] += rng.normal(0.0, sigma, size=2)
-        candidate = repair_coords(candidate, radius, center, config.repair)
+        candidate = repair_coords(candidate, radius, center)
         fv = ev.evaluate_coords(candidate)
         delta = fv.score - current_f.score
         if delta >= 0 or rng.random() < math.exp(delta / temperature):

@@ -30,21 +30,17 @@ from .model import Deployment, radius_law
 # a constant keeps repair a pure function of its inputs.
 _JITTER_SEED = 0x5EED
 _JITTER_KM = 0.001
+# Step size: the fraction of each UAV's mean repulsive force applied per iteration.
+ALPHA_R = 0.9
 
 
 @dataclass(frozen=True)
 class RepairConfig:
     max_iter: int = 100
-    alpha_r: float = 0.9
-    overlap_tolerance_m: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not (0.0 < self.alpha_r <= 1.0):
-            raise ValueError("alpha_r must be in (0, 1]")
-        if self.overlap_tolerance_m < 0:
-            raise ValueError("overlap_tolerance_m must be non-negative")
 
 
 @lru_cache(maxsize=64)
@@ -55,46 +51,32 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _distances(lat: np.ndarray, lon: np.ndarray):
-    """Distances from the first n points to the last one, the center (n,), and
-    between the first n (n, n), from one haversine call."""
+def _geometry(padded_km: np.ndarray, center: GeoPoint):
+    """Distances from the UAV rows of `padded_km` to the center (n,) and between
+    them (n, n), from one haversine call.
+
+    `padded_km` holds local-plane UAV rows followed by a zero row, which maps
+    to the center's exact lat/lon, so the hot path needs no append.
+    """
+    lat, lon = local_to_latlon(padded_km[:, 0], padded_km[:, 1], center)
     d = haversine_km_arrays(lat[:-1, None], lon[:-1, None], lat, lon)
     return d[:, -1], d[:, :-1]
 
 
-def _geometry(padded_km: np.ndarray, center: GeoPoint):
-    """:func:`_distances` of local-plane UAV rows followed by a zero row.
-
-    The zero row maps to the center's exact lat/lon, so the hot path needs no
-    append.
-    """
-    lat, lon = local_to_latlon(padded_km[:, 0], padded_km[:, 1], center)
-    return _distances(lat, lon)
-
-
-def _overlaps(radii_km: np.ndarray, pairwise_km: np.ndarray, overlap_tolerance_km: float):
-    """Over the pairs (i < j) in row-major order: i, j, distance, radius sum, overlap mask."""
-    i, j = _upper_pairs(len(radii_km))
-    d = pairwise_km[i, j]
-    d_min = radii_km[i] + radii_km[j]
-    return i, j, d, d_min, d < d_min - overlap_tolerance_km
-
-
-def pairwise_repulsion(
-    coords_km: np.ndarray,
-    radii_km: np.ndarray,
-    pairwise_km: np.ndarray,
-    overlap_tolerance_km: float = 0.0,
-):
+def pairwise_repulsion(coords_km: np.ndarray, radii_km: np.ndarray, pairwise_km: np.ndarray):
     """Accumulate the repulsive forces of every overlapping pair (i < j).
 
+    A pair overlaps when its distance is strictly below the sum of its radii.
     Returns (forces, interaction_counts, any_overlap). Forces obey Newton-pair
     symmetry: before normalization they sum to the zero vector. A coincident
     pair (distance 0) counts as an overlap but exerts no force.
     """
     n = len(coords_km)
     forces = np.zeros((n, 2))
-    i, j, d, d_min, overlap = _overlaps(radii_km, pairwise_km, overlap_tolerance_km)
+    i, j = _upper_pairs(n)
+    d = pairwise_km[i, j]
+    d_min = radii_km[i] + radii_km[j]
+    overlap = d < d_min
     if not np.count_nonzero(overlap):
         return forces, np.zeros(n, dtype=int), False
     push = overlap & (d > 0)
@@ -161,7 +143,6 @@ def repair_coords(
     padded = np.zeros((n + 1, 2))
     coords = padded[:n]
     coords[:] = coords_km
-    tol_km = config.overlap_tolerance_m / 1000.0
     upper_i, upper_j = _upper_pairs(n)
     rng = None  # the jitter stream starts at the first coincident pair
 
@@ -178,35 +159,25 @@ def repair_coords(
             if _separate_coincident(coords, (upper_i[zero], upper_j[zero]), rng):
                 d_center, pairwise = _geometry(padded, center)
         radii_km = radius_law(d_center) / 1000.0
-        forces, counts, any_overlap = pairwise_repulsion(coords, radii_km, pairwise, tol_km)
+        forces, counts, any_overlap = pairwise_repulsion(coords, radii_km, pairwise)
         if not any_overlap:
             break
         active = counts > 0
-        coords[active] += config.alpha_r * forces[active] / counts[active, None]
+        coords[active] += ALPHA_R * forces[active] / counts[active, None]
         geometry = _clamp_to_boundary(padded, area_radius_km, center)
     return coords
 
 
-def _is_feasible(deployment: Deployment, config: RepairConfig) -> bool:
-    center = deployment.area.center
-    lat, lon = deployment.latlon()
-    d_center, pairwise = _distances(np.append(lat, center.lat), np.append(lon, center.lon))
-    if (d_center > deployment.area.radius_km).any():
-        return False
-    radii = np.array([u.detection_radius_m for u in deployment.uavs]) / 1000.0
-    overlap = _overlaps(radii, pairwise, config.overlap_tolerance_m / 1000.0)[-1]
-    return not overlap.any()
-
-
-def repair(deployment: Deployment, config: RepairConfig = RepairConfig()) -> Deployment:
+def repair(deployment: Deployment) -> Deployment:
     """Return a repaired version of `deployment` (see the module notes on feasibility).
 
-    An already-feasible deployment is returned unchanged (exact identity, no
-    projection round-trip). Detection radii are recomputed from the final
-    positions.
+    Runs :func:`repair_coords` on the deployment's local-plane coordinates. When
+    it leaves them unchanged the input object itself is returned; otherwise
+    detection radii are recomputed from the final positions.
     """
-    if _is_feasible(deployment, config):
-        return deployment
     area = deployment.area
-    repaired = repair_coords(deployment.coords_km(), area.radius_km, area.center, config)
+    coords = deployment.coords_km()
+    repaired = repair_coords(coords, area.radius_km, area.center)
+    if np.array_equal(repaired, coords):
+        return deployment
     return Deployment.from_coords(repaired, area)

@@ -87,6 +87,16 @@ def test_experiment_config_unknown_key_rejected(tmp_path):
     assert not (tmp_path / "exp-out").exists()
 
 
+def test_experiment_config_repair_key_rejected(tmp_path):
+    # The repair settings are module constants; a config may not set them.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"repair": {"max_iter": 5}}))
+    out = tmp_path / "exp-out"
+    with pytest.raises(ValueError, match="unknown key.*: repair"):
+        main(["experiment", "--config", str(config), "--out", str(out)])
+    assert not (out / "results.csv").exists()
+
+
 def test_experiment_config_bad_algorithm_fails_before_any_cell(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"algorithms": ["gaa"]}))
@@ -127,6 +137,16 @@ def test_accident_flags_need_tracks(command, flag, tmp_path, capsys):
     assert exc.value.code == 2
     assert f"{flag[0]} given without --tracks" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--predictor", "linear"], ["--accident-index", "3"]])
+def test_predict_refuses_accident_flags(flag, capsys):
+    # predict scores every predictor with each accident --horizon records
+    # before the track's end, so these flags would be ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_validate_is_not_a_subcommand():

@@ -17,7 +17,7 @@ from driftsearch.geo import GeoPoint, haversine_km_arrays
 from driftsearch.ingest import AccidentSpec, DrifterTrack, synthesize_track
 from driftsearch.model import Deployment
 from driftsearch.optimize import FitnessEvaluator
-from driftsearch.scenario import build_scenario
+from driftsearch.scenario import Scenario, build_scenario
 from driftsearch.experiment import (
     ExperimentSpec,
     ResultRow,
@@ -110,19 +110,46 @@ def shifted(track: DrifterTrack, delta: float) -> DrifterTrack:
     return DrifterTrack(track.id, records)
 
 
-def local_outcomes(track: DrifterTrack, seed: int) -> tuple[float, list[int], list[int]]:
-    """Search radius, fitness of 20 deployments drawn in the area's local plane
-    and the 1 m ``n_covered`` of the first 5, for an accident at record 6 with
-    a 6-hour horizon."""
+def mirrored(track: DrifterTrack) -> DrifterTrack:
+    """`track` with every latitude negated."""
+    records = tuple(replace(r, position=GeoPoint(-r.position.lat, r.position.lon)) for r in track.records)
+    return DrifterTrack(track.id, records)
+
+
+def random_tracks():
+    """60 fixed-seed tracks with random starts and drift profiles, each with a
+    seed for its deployments."""
+    rng = random.Random(11)
+    for _ in range(60):
+        start = GeoPoint(rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0))
+        track = synthesize_track(rng.randrange(2**31), 16, start, rng.uniform(0.3, 1.5), rng.uniform(0.1, 0.8))
+        yield track, rng.randrange(2**31)
+
+
+def random_scenario(track: DrifterTrack):
+    """Forecast and scenario for an accident at record 6 with a 6-hour horizon."""
     accident = AccidentSpec(track.id, 6, 6)
     fc = forecast_scenario(track, accident, PredictorSpec("linear-extrapolation"))
-    scen = build_scenario(track, accident, fc, k=10, seed=0)
+    return fc, build_scenario(track, accident, fc, k=10, seed=0)
+
+
+def deployment_outcomes(scen: Scenario, track: DrifterTrack, seed: int, north: float = 1.0):
+    """Fitness of 20 deployments drawn in the area's local plane, their north
+    offsets scaled by `north`, and the 1 m ``n_covered`` of the first 5."""
     ev = FitnessEvaluator(scen)
     draws = np.random.default_rng(seed)
-    deployments = [draws.uniform(-0.7, 0.7, (draws.integers(1, 9), 2)) * scen.area.radius_km for _ in range(20)]
+    deployments = [
+        draws.uniform(-0.7, 0.7, (draws.integers(1, 9), 2)) * scen.area.radius_km * [1.0, north] for _ in range(20)
+    ]
     fitness = [ev.evaluate_coords(c).score for c in deployments]
     n_covered = [coverage(Deployment.from_coords(c, scen.area), track, 6, 12).n_covered for c in deployments[:5]]
-    return scen.area.radius_km, fitness, n_covered
+    return fitness, n_covered
+
+
+def local_outcomes(track: DrifterTrack, seed: int) -> tuple[float, list[int], list[int]]:
+    """Search radius and :func:`deployment_outcomes` of `track`'s scenario."""
+    scen = random_scenario(track)[1]
+    return (scen.area.radius_km, *deployment_outcomes(scen, track, seed))
 
 
 class TestRunCell:
@@ -146,12 +173,9 @@ class TestRunCell:
         # onto +-180 from either side: radius, fitness of fixed local
         # deployments and 1 m coverage must move with the track. Counts may
         # differ only for midpoints within rounding of a disc edge.
-        rng = random.Random(11)
         radius_misses, fitness_misses, covered = 0, 0, []
-        for _ in range(60):
-            start = GeoPoint(rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0))
-            track = synthesize_track(rng.randrange(2**31), 16, start, rng.uniform(0.3, 1.5), rng.uniform(0.1, 0.8))
-            seed, lon = rng.randrange(2**31), track.position(6).lon
+        for track, seed in random_tracks():
+            lon = track.position(6).lon
             radius, fitness, n_covered = local_outcomes(track, seed)
             for delta in (53.0, -307.0, 360.0, 180.0 - lon, -180.0 - lon):
                 moved_radius, moved_fitness, moved_covered = local_outcomes(shifted(track, delta), seed)
@@ -159,6 +183,30 @@ class TestRunCell:
                 fitness_misses += moved_fitness != fitness
                 covered += zip(moved_covered, n_covered)
         assert radius_misses == 0 and fitness_misses == 0
+        assert sum(a == b for a, b in covered) >= 0.99 * len(covered)
+        assert max(abs(a - b) for a, b in covered) <= 1
+
+    def test_north_south_mirror_of_random_tracks(self):
+        # Negating every latitude mirrors the forecast bit for bit. Particles
+        # are drawn in the local plane, not mirrored with the track, so the
+        # scenario is mirrored through its JSON; fitness of the mirrored local
+        # deployments and 1 m coverage must then match.
+        forecast_misses, fitness_misses, covered = 0, 0, []
+        for track, seed in random_tracks():
+            fc, scen = random_scenario(track)
+            mirror = mirrored(track)
+            mirror_fc, mirror_own = random_scenario(mirror)
+            forecast_misses += mirror_fc != replace(fc, predicted=GeoPoint(-fc.predicted.lat, fc.predicted.lon))
+            doc = json.loads(scen.to_json())
+            for point in (doc["accident"], doc["center"], *doc["particles"]):
+                point["lat"] = -point["lat"]
+            mirror_scen = Scenario.from_json(json.dumps(doc))
+            assert mirror_own.area == mirror_scen.area
+            fitness, n_covered = deployment_outcomes(scen, track, seed)
+            mirror_fitness, mirror_covered = deployment_outcomes(mirror_scen, mirror, seed, north=-1.0)
+            fitness_misses += mirror_fitness != fitness
+            covered += zip(mirror_covered, n_covered)
+        assert forecast_misses == 0 and fitness_misses == 0
         assert sum(a == b for a, b in covered) >= 0.99 * len(covered)
         assert max(abs(a - b) for a, b in covered) <= 1
 

@@ -1,11 +1,12 @@
 """Recursive prediction, error measurement, and predictor benchmarking."""
 
 import math
+import tempfile
 from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from driftsearch.geo import GeoPoint, haversine_km_arrays
@@ -112,6 +113,26 @@ class TestExternalFile:
         path.write_text("step,lat,lon\n")
         with pytest.raises(ValueError):
             load_external_forecast(path)
+
+    # tmp_path is shared by every example, so each writes a new file; truncating
+    # one file in place costs tens of ms per example on some file systems.
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.one_of(
+            st.integers(1, 8).flatmap(lambda h: st.permutations(range(1, h + 1))),
+            st.lists(st.integers(0, 9), max_size=10),
+        )
+    )
+    def test_steps_one_to_h_each_once_or_value_error(self, tmp_path, steps):
+        with tempfile.NamedTemporaryFile("w", dir=tmp_path, suffix=".csv", delete=False) as fh:
+            fh.write("step,lat,lon\n" + "".join(f"{s},{10.0 + row},{100.0 + s}\n" for row, s in enumerate(steps)))
+        path = fh.name
+        if steps and sorted(steps) == list(range(1, len(steps) + 1)):
+            expected = [GeoPoint(10.0 + steps.index(s), 100.0 + s) for s in range(1, len(steps) + 1)]
+            assert load_external_forecast(path) == expected
+        else:
+            with pytest.raises(ValueError):
+                load_external_forecast(path)
 
 
 class TestForecastScenario:

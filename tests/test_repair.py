@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from driftsearch.geo import GeoPoint, haversine_km_arrays, local_to_latlon
 from driftsearch.model import Deployment
-from driftsearch.repair import RepairConfig, pairwise_repulsion, repair, repair_coords
+from driftsearch.repair import ALPHA_R, RepairConfig, pairwise_repulsion, repair, repair_coords
 from driftsearch.scenario import SearchArea
 
 CENTER = GeoPoint(34.0, 127.0)
@@ -36,16 +36,11 @@ def min_gap_m(dep: Deployment) -> float:
 
 class TestRepairConfig:
     def test_defaults(self):
-        cfg = RepairConfig()
-        assert cfg.max_iter == 100 and cfg.alpha_r == 0.9
+        assert RepairConfig().max_iter == 100 and ALPHA_R == 0.9
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RepairConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            RepairConfig(alpha_r=0.0)
-        with pytest.raises(ValueError):
-            RepairConfig(overlap_tolerance_m=-1.0)
 
 
 class TestPairwiseRepulsion:
@@ -163,7 +158,7 @@ def seed_geometry(coords_km, center):
     return radii, pairwise
 
 
-def seed_pairwise_repulsion(coords_km, radii_km, pairwise_km, tol_km):
+def seed_pairwise_repulsion(coords_km, radii_km, pairwise_km):
     n = len(coords_km)
     forces = np.zeros((n, 2))
     counts = np.zeros(n, dtype=int)
@@ -172,7 +167,7 @@ def seed_pairwise_repulsion(coords_km, radii_km, pairwise_km, tol_km):
         for j in range(i + 1, n):
             d = pairwise_km[i, j]
             d_min = radii_km[i] + radii_km[j]
-            if d < d_min - tol_km:
+            if d < d_min:
                 any_overlap = True
                 if d > 0:
                     f = (d_min / d) * (coords_km[j] - coords_km[i])
@@ -207,20 +202,19 @@ def seed_separate_coincident(coords_km, pairwise_km, rng):
     return moved
 
 
-def seed_repair_coords(coords_km, area_radius_km, center, config):
+def seed_repair_coords(coords_km, area_radius_km, center, max_iter=100):
     coords = np.array(coords_km, dtype=float)
-    tol_km = config.overlap_tolerance_m / 1000.0
     rng = random.Random(0x5EED)
     seed_clamp(coords, area_radius_km, center)
-    for _ in range(config.max_iter):
+    for _ in range(max_iter):
         radii, pairwise = seed_geometry(coords, center)
         if seed_separate_coincident(coords, pairwise, rng):
             radii, pairwise = seed_geometry(coords, center)
-        forces, counts, any_overlap = seed_pairwise_repulsion(coords, radii, pairwise, tol_km)
+        forces, counts, any_overlap = seed_pairwise_repulsion(coords, radii, pairwise)
         if not any_overlap:
             break
         active = counts > 0
-        coords[active] += config.alpha_r * forces[active] / counts[active, None]
+        coords[active] += 0.9 * forces[active] / counts[active, None]
         seed_clamp(coords, area_radius_km, center)
     return coords
 
@@ -238,30 +232,24 @@ def repair_inputs(draw):
     if draw(st.booleans()):
         coords[: draw(st.integers(1, n))] = 0.0  # stacked on the center
     center = GeoPoint(draw(st.floats(-70.0, 70.0)), draw(st.sampled_from([127.0, 179.999, -179.999])))
-    config = RepairConfig(
-        max_iter=draw(st.sampled_from([1, 3, 25])),
-        alpha_r=draw(st.sampled_from([0.9, 0.5])),
-        overlap_tolerance_m=draw(st.sampled_from([0.0, 30.0, 250.0])),
-    )
-    return coords, radius_km, center, config
+    return coords, radius_km, center, draw(st.sampled_from([1, 3, 25]))
 
 
 class TestSeedEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(repair_inputs())
     def test_matches_seed_algorithm(self, case):
-        coords, radius_km, center, config = case
-        expected = seed_repair_coords(coords, radius_km, center, config)
-        assert np.array_equal(repair_coords(coords, radius_km, center, config), expected)
+        coords, radius_km, center, max_iter = case
+        expected = seed_repair_coords(coords, radius_km, center, max_iter)
+        assert np.array_equal(repair_coords(coords, radius_km, center, RepairConfig(max_iter)), expected)
 
     @pytest.mark.parametrize("n, radius_km", [(8, 0.3), (3, 0.05)])
     def test_iteration_cap_reached(self, n, radius_km):
         # n discs cannot fit: every iteration overlaps and the cap is reached.
         coords = np.random.default_rng(n).normal(0.0, radius_km, size=(n, 2))
         coords[1] = coords[0]
-        config = RepairConfig(max_iter=40, overlap_tolerance_m=5.0)
-        out = repair_coords(coords, radius_km, CENTER, config)
-        assert np.array_equal(out, seed_repair_coords(coords, radius_km, CENTER, config))
+        out = repair_coords(coords, radius_km, CENTER, RepairConfig(max_iter=40))
+        assert np.array_equal(out, seed_repair_coords(coords, radius_km, CENTER, 40))
         radii = np.full(n, 0.2)
         pairwise = np.linalg.norm(out[:, None] - out[None, :], axis=2)
         assert pairwise_repulsion(out, radii, pairwise)[2]
@@ -270,9 +258,8 @@ class TestSeedEquivalence:
         # UAVs on one ray far outside are clamped onto the same boundary point,
         # and pairs coincide again after later moves.
         coords = np.array([[-1.5, 0.0], [-1.2, 0.0], [1.2, 0.0], [1.5, 0.0], [0.6, 0.0], [-0.9, 0.0]])
-        config = RepairConfig(max_iter=50)
-        expected = seed_repair_coords(coords, 0.3, CENTER, config)
-        assert np.array_equal(repair_coords(coords, 0.3, CENTER, config), expected)
+        expected = seed_repair_coords(coords, 0.3, CENTER, 50)
+        assert np.array_equal(repair_coords(coords, 0.3, CENTER, RepairConfig(max_iter=50)), expected)
 
     def test_geometry_recomputed_after_a_fourth_boundary_scaling(self):
         # The boundary projection stops after four scalings and the last one
@@ -283,9 +270,64 @@ class TestSeedEquivalence:
             [2.119550505572027, 6.835675702305412],
         ])
         center = GeoPoint(42.62723691444842, 130.06205862396064)
-        expected = seed_repair_coords(coords, 0.3, center, RepairConfig())
+        expected = seed_repair_coords(coords, 0.3, center)
         assert np.array_equal(repair_coords(coords, 0.3, center), expected)
 
     def test_rejects_non_positive_radius(self):
         with pytest.raises(ValueError):
             repair_coords(np.zeros((2, 2)), 0.0, CENTER)
+
+
+# --- Equivalence with the feasibility check repair() used to run first ---------
+#
+# repair() used to test feasibility on the deployment's own latitudes,
+# longitudes and stored radii, return the input when it passed, and otherwise
+# rebuild the deployment from repair_coords. It now rebuilds only when
+# repair_coords moves a coordinate; results and identity must not change.
+
+
+def check_first_repair(deployment: Deployment) -> Deployment:
+    area = deployment.area
+    lat, lon = deployment.latlon()
+    lat2, lon2 = np.append(lat, area.center.lat), np.append(lon, area.center.lon)
+    d = haversine_km_arrays(lat2[:-1, None], lon2[:-1, None], lat2, lon2)
+    d_center, pairwise = d[:, -1], d[:, :-1]
+    radii = np.array([u.detection_radius_m for u in deployment.uavs]) / 1000.0
+    i, j = np.triu_indices(len(radii), 1)
+    if not (d_center > area.radius_km).any() and not (pairwise[i, j] < radii[i] + radii[j] - 0.0).any():
+        return deployment
+    return Deployment.from_coords(repair_coords(deployment.coords_km(), area.radius_km, area.center), area)
+
+
+@st.composite
+def deployments(draw):
+    center = GeoPoint(draw(st.floats(-70.0, 70.0)), draw(st.sampled_from([127.0, 179.999, -179.999])))
+    layout = draw(st.sampled_from(["spread", "boundary", "column"]))
+    radius_km = draw(st.sampled_from([4.0, 20.0] if layout == "column" else [0.3, 1.0, 4.0, 20.0]))
+    area = SearchArea(center, radius_km)
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "column":
+        # A meridian 2.5 km east of the center, where every radius is 200 m;
+        # consecutive discs are `gap_km` from touching along the meridian.
+        gap_km = draw(st.sampled_from([-1e-9, 0.0, 1e-12, 1e-9, 1e-6]))
+        lat, lon = local_to_latlon(2.5, 0.0, center)
+        step = math.degrees((0.4 + gap_km) / 6371.0)
+        return Deployment.from_points([GeoPoint(float(lat) + (k - n // 2) * step, float(lon)) for k in range(n)], area)
+    if layout == "boundary":
+        theta = rng.uniform(0.0, 2.0 * math.pi, n)
+        coords = radius_km * np.column_stack([np.cos(theta), np.sin(theta)])
+    else:
+        coords = rng.uniform(-1.2, 1.2, size=(n, 2)) * radius_km
+    return Deployment.from_coords(coords, area)
+
+
+class TestRepairMatchesFeasibilityCheck:
+    @settings(max_examples=600, deadline=None)
+    @given(deployments())
+    def test_same_result_and_identity(self, dep):
+        expected = check_first_repair(dep)
+        fixed = repair(dep)
+        assert fixed == expected
+        if expected is dep:
+            assert fixed is dep
