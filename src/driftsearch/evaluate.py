@@ -62,14 +62,16 @@ class EvaluationConfig:
 @dataclass(frozen=True)
 class EvaluationReport:
     """``segment_pods`` is a read-only float64 array of the best PoD per unit
-    segment in track order. The sparse scorer (module docstring) measures only
-    the midpoints its proven bounds keep, and its PoDs equal the dense UAV x
-    midpoint matrix's bit for bit. It is not part of ``==``."""
+    segment in track order, the segments being ``unit_m`` long. The sparse
+    scorer (module docstring) measures only the midpoints its proven bounds
+    keep, and its PoDs equal the dense UAV x midpoint matrix's bit for bit. It
+    is not part of ``==``."""
 
     coverage: float
     segment_pods: np.ndarray = field(compare=False)
     detected_any: bool
     trajectory_length_km: float
+    unit_m: float
 
     @property
     def n_segments(self) -> int:
@@ -188,11 +190,13 @@ def survival_chain(pods: np.ndarray, k0: int) -> float:
 
 
 def literal_chain(pods: np.ndarray, k0: int) -> float:
-    """As printed: the previous segment's survival raised to the power (i-1)."""
+    """As printed: the previous segment's survival raised to the power (i-1).
+
+    Only covered segments add a term, so the sum runs over those alone."""
     pods = np.asarray(pods, dtype=float)
-    prev = np.concatenate([[0.0], pods[:-1]])
-    exponents = np.arange(len(pods), dtype=float)
-    return float(k0 * np.sum((1.0 - prev) ** exponents * pods))
+    i = np.flatnonzero(pods)
+    prev = np.where(i > 0, pods[i - 1], 0.0)
+    return float(k0 * np.sum((1.0 - prev) ** i * pods[i]))
 
 
 def coverage(
@@ -209,7 +213,7 @@ def coverage(
     score = chain(pods, config.k0)
     lat, lon = _latlon(track, from_index, to_index)
     length_km = sum(haversine_km_arrays(lat[:-1], lon[:-1], lat[1:], lon[1:]).tolist())
-    return EvaluationReport(score, pods, bool(pods.any()), length_km)
+    return EvaluationReport(score, pods, bool(pods.any()), length_km, config.unit_m)
 
 
 def monte_carlo_chain(pods: np.ndarray, k0: int, trials: int, seed: int) -> float:

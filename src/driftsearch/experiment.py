@@ -14,7 +14,6 @@ import csv
 import hashlib
 import itertools
 import logging
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,12 +25,7 @@ from .geo import GeoPoint
 from .geojson import export_geojson
 from .ingest import AccidentSpec, DrifterTrack, synthesize_track
 from .optimize import ALGORITHMS, OptimizerConfig, run
-from .scenario import (
-    DEFAULT_RADIUS_FLOOR_KM,
-    DEFAULT_RADIUS_MULTIPLIER,
-    DEFAULT_SIGMA_MULTIPLIER,
-    build_scenario,
-)
+from .scenario import build_scenario
 
 log = logging.getLogger(__name__)
 
@@ -57,12 +51,7 @@ class ExperimentSpec:
     uav_counts: tuple[int, ...] = DEFAULT_UAV_COUNTS
     particle_counts: tuple[int, ...] = DEFAULT_PARTICLE_COUNTS
     budget_evals: int = 2500
-    fitness_unit_m: float = 100.0
-    eval_unit_m: float = 1.0
     k0: int = 100
-    radius_multiplier: float = DEFAULT_RADIUS_MULTIPLIER
-    sigma_multiplier: float = DEFAULT_SIGMA_MULTIPLIER
-    radius_floor_km: float = DEFAULT_RADIUS_FLOOR_KM
 
     def __post_init__(self) -> None:
         for name, seq in (
@@ -76,16 +65,10 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be non-empty")
         if min(self.particle_counts) < 1:
             raise ValueError("particle_counts must be >= 1")
-        if not (math.isfinite(self.radius_multiplier) and self.radius_multiplier > 0):
-            raise ValueError(f"radius_multiplier must be finite and positive, got {self.radius_multiplier}")
-        if not (math.isfinite(self.sigma_multiplier) and self.sigma_multiplier >= 0):
-            raise ValueError(f"sigma_multiplier must be finite and non-negative, got {self.sigma_multiplier}")
-        if not self.radius_floor_km > 0:
-            raise ValueError(f"radius_floor_km must be positive, got {self.radius_floor_km}")
-        # Fail on a bad algorithm, UAV count, budget or unit before any cell runs.
+        # Fail on a bad algorithm, UAV count, budget or cohort size before any cell runs.
         for algorithm, n_uavs in itertools.product(self.algorithms, self.uav_counts):
-            OptimizerConfig(algorithm, n_uavs, self.budget_evals, fitness_unit_m=self.fitness_unit_m)
-        EvaluationConfig(self.eval_unit_m, self.k0)
+            OptimizerConfig(algorithm, n_uavs, self.budget_evals)
+        EvaluationConfig(k0=self.k0)
 
 
 @dataclass(frozen=True)
@@ -156,22 +139,9 @@ def run_cell(
     """Run one experiment cell: forecast, optimize, evaluate against truth."""
     fc = forecast_scenario(instance.track, instance.accident, instance.predictor)
     scen = build_scenario(
-        instance.track,
-        instance.accident,
-        fc,
-        k=n_particles,
-        seed=scenario_seed(instance.name, n_particles, seed),
-        radius_multiplier=spec.radius_multiplier,
-        sigma_multiplier=spec.sigma_multiplier,
-        radius_floor_km=spec.radius_floor_km,
+        instance.track, instance.accident, fc, k=n_particles, seed=scenario_seed(instance.name, n_particles, seed)
     )
-    config = OptimizerConfig(
-        algorithm=algorithm,
-        n_uavs=n_uavs,
-        budget_evals=spec.budget_evals,
-        seed=seed,
-        fitness_unit_m=spec.fitness_unit_m,
-    )
+    config = OptimizerConfig(algorithm=algorithm, n_uavs=n_uavs, budget_evals=spec.budget_evals, seed=seed)
     start = time.perf_counter()
     result = run(scen, config)
     wall_ms = (time.perf_counter() - start) * 1000.0
@@ -182,12 +152,9 @@ def run_cell(
         )
     lo = instance.accident.accident_index
     hi = lo + instance.accident.horizon_hours
-    report = coverage(result.best, instance.track, lo, hi, EvaluationConfig(spec.eval_unit_m, spec.k0))
+    report = coverage(result.best, instance.track, lo, hi, EvaluationConfig(k0=spec.k0))
     if geojson_path is not None:
-        export_geojson(
-            scen, result.best, geojson_path, track=instance.track, track_slice=(lo, hi),
-            report=report, eval_unit_m=spec.eval_unit_m,
-        )
+        export_geojson(scen, result.best, geojson_path, track=instance.track, track_slice=(lo, hi), report=report)
     return ResultRow(
         instance=instance.name,
         n_uavs=n_uavs,

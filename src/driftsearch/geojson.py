@@ -85,13 +85,13 @@ def export_geojson(
     track: DrifterTrack | None = None,
     track_slice: tuple[int, int] | None = None,
     report: EvaluationReport | None = None,
-    eval_unit_m: float = 1.0,
 ) -> dict:
     """Write a FeatureCollection for map inspection; returns the document.
 
     Includes the scenario geometry, the UAV discs (with per-disc PoD), the
     actual trajectory when a track slice is given, and the covered segment
-    midpoints when an evaluation report is given alongside it.
+    midpoints when an evaluation report of that slice is given alongside it;
+    a report of another slice raises ValueError.
     """
     feats = scenario_features(scenario)
     if deployment is not None:
@@ -101,8 +101,13 @@ def export_geojson(
         coords = [_coord(track.position(i)) for i in range(lo, hi + 1)]
         feats.append(_feature({"type": "LineString", "coordinates": coords}, role="trajectory"))
         if report is not None:
-            midpoints = segment_trajectory(track, lo, hi, eval_unit_m)
-            if len(midpoints) == report.n_segments and report.n_covered:
+            midpoints = segment_trajectory(track, lo, hi, report.unit_m)
+            if len(midpoints) != report.n_segments:
+                raise ValueError(
+                    f"report has {report.n_segments} segments of {report.unit_m} m, "
+                    f"the slice [{lo}, {hi}] has {len(midpoints)}"
+                )
+            if report.n_covered:
                 covered = midpoints[report.segment_pods > 0, ::-1].tolist()
                 feats.append(
                     _feature({"type": "MultiPoint", "coordinates": covered}, role="covered-segments")

@@ -39,6 +39,8 @@ SA_EPOCHS = 10
 # Neighborhood scale as a fraction of the search radius at T = T0; shrinks
 # proportionally with temperature.
 SA_STEP_FRACTION = 0.1
+# Length of the candidate-line segments that fitness counts.
+FITNESS_UNIT_M = 100.0
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,6 @@ class OptimizerConfig:
     n_uavs: int
     budget_evals: int = 2500
     seed: int = 0
-    fitness_unit_m: float = 100.0
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -57,8 +58,6 @@ class OptimizerConfig:
         if self.algorithm in ("ga", "pso") and self.budget_evals < POP_SIZE:
             # The first population is evaluated whole, so a smaller budget would be overspent.
             raise ValueError(f"{self.algorithm} budget_evals {self.budget_evals} is below its pop_size {POP_SIZE}")
-        if self.fitness_unit_m <= 0:
-            raise ValueError("fitness_unit_m must be positive")
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ class FitnessEvaluator:
     counts the same segments as the full distance matrix.
     """
 
-    def __init__(self, scenario: Scenario, unit_m: float = 100.0):
+    def __init__(self, scenario: Scenario, unit_m: float = FITNESS_UNIT_M):
         if unit_m <= 0:
             raise ValueError("unit_m must be positive")
         self.scenario = scenario
@@ -141,7 +140,7 @@ class FitnessEvaluator:
         return self.evaluate_coords(replace(deployment, area=self.scenario.area).coords_km())
 
 
-def fitness(deployment: Deployment, scenario: Scenario, unit_m: float = 100.0) -> FitnessValue:
+def fitness(deployment: Deployment, scenario: Scenario, unit_m: float = FITNESS_UNIT_M) -> FitnessValue:
     """One-off fitness of a deployment (builds a throwaway evaluator)."""
     return FitnessEvaluator(scenario, unit_m).evaluate(deployment)
 
@@ -163,7 +162,7 @@ def initialize(n_uavs: int, area: SearchArea, seed: int) -> Deployment:
 def run_random(scenario: Scenario, config: OptimizerConfig) -> OptimizationResult:
     """Pure random sampling, no repair; the unguided baseline."""
     rng = np.random.default_rng(config.seed)
-    ev = FitnessEvaluator(scenario, config.fitness_unit_m)
+    ev = FitnessEvaluator(scenario)
     area = scenario.area
     best_coords = None
     best_fv = None
@@ -194,7 +193,7 @@ def _blx_children(
 def run_ga(scenario: Scenario, config: OptimizerConfig) -> OptimizationResult:
     """Generational GA with BLX crossover, reset mutation, and elitist truncation."""
     rng = np.random.default_rng(config.seed)
-    ev = FitnessEvaluator(scenario, config.fitness_unit_m)
+    ev = FitnessEvaluator(scenario)
     area = scenario.area
     radius = area.radius_km
     center = area.center
@@ -238,7 +237,7 @@ def run_ga(scenario: Scenario, config: OptimizerConfig) -> OptimizationResult:
 def run_pso(scenario: Scenario, config: OptimizerConfig) -> OptimizationResult:
     """Standard inertia-weight PSO; every position update is repaired."""
     rng = np.random.default_rng(config.seed)
-    ev = FitnessEvaluator(scenario, config.fitness_unit_m)
+    ev = FitnessEvaluator(scenario)
     area = scenario.area
     radius = area.radius_km
     center = area.center
@@ -280,7 +279,7 @@ def run_sa(scenario: Scenario, config: OptimizerConfig) -> OptimizationResult:
     the shared budget.
     """
     rng = np.random.default_rng(config.seed)
-    ev = FitnessEvaluator(scenario, config.fitness_unit_m)
+    ev = FitnessEvaluator(scenario)
     area = scenario.area
     radius = area.radius_km
     center = area.center

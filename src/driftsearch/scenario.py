@@ -11,11 +11,13 @@ from .forecast import Forecast
 from .geo import GeoPoint, haversine_km_arrays, local_to_latlon
 from .ingest import AccidentSpec, DrifterTrack
 
-DEFAULT_RADIUS_MULTIPLIER = 4.0
-DEFAULT_SIGMA_MULTIPLIER = 4.0
+# The search radius and the particle sigma are these multiples of the
+# previous-step prediction error.
+RADIUS_MULTIPLIER = 4.0
+SIGMA_MULTIPLIER = 4.0
 # Guards against a degenerate zero-radius area when the previous-step
 # prediction happened to be exact.
-DEFAULT_RADIUS_FLOOR_KM = 0.5
+RADIUS_FLOOR_KM = 0.5
 
 
 @dataclass(frozen=True)
@@ -27,7 +29,7 @@ class SearchArea:
 
     def __post_init__(self) -> None:
         if not (self.radius_km > 0):
-            raise ValueError(f"search radius must be positive, got {self.radius_km}")
+            raise ValueError(f"radius_km must be positive, got {self.radius_km}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if not self.particles:
-            raise ValueError("a scenario needs at least one particle")
+            raise ValueError("particles: a scenario needs at least one particle")
         if len(self.particles) != len(self.lines):
             raise ValueError("one candidate line per particle required")
         if self.sigma_km < 0:
@@ -74,11 +76,42 @@ class Scenario:
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
-        doc = json.loads(text)
-        accident = GeoPoint(**doc["accident"])
-        area = SearchArea(GeoPoint(**doc["center"]), doc["radius_km"])
-        particles = tuple(Particle(GeoPoint(**p)) for p in doc["particles"])
-        return cls(accident, area, particles, _lines(accident, particles), doc["sigma_km"])
+        """Parse :meth:`to_json` output; a malformed document raises
+        ValueError naming the offending field."""
+        doc = _fields(json.loads(text), ("accident", "center", "radius_km", "sigma_km", "particles"), "scenario")
+        if not isinstance(doc["particles"], list):
+            raise ValueError(f"particles must be a list, got {doc['particles']!r}")
+        accident = _point(doc["accident"], "accident")
+        area = SearchArea(_point(doc["center"], "center"), _number(doc["radius_km"], "radius_km"))
+        particles = tuple(Particle(_point(p, f"particles[{i}]")) for i, p in enumerate(doc["particles"]))
+        return cls(accident, area, particles, _lines(accident, particles), _number(doc["sigma_km"], "sigma_km"))
+
+
+def _fields(obj, keys: tuple[str, ...], name: str) -> dict:
+    """`obj` if it is a JSON object with exactly `keys`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be a JSON object, got {obj!r}")
+    missing, extra = sorted(set(keys) - set(obj)), sorted(set(obj) - set(keys))
+    if missing or extra:
+        raise ValueError(f"{name}: missing key(s) {missing}, unexpected key(s) {extra}")
+    return obj
+
+
+def _number(value, name: str) -> float:
+    # type() rather than isinstance() refuses booleans. The bound is the largest
+    # finite float; comparing with it is exact for huge ints and false for NaN.
+    if type(value) not in (int, float) or not abs(value) <= 1.7976931348623157e308:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _point(obj, name: str) -> GeoPoint:
+    doc = _fields(obj, ("lat", "lon"), name)
+    lat, lon = _number(doc["lat"], f"{name}.lat"), _number(doc["lon"], f"{name}.lon")
+    try:
+        return GeoPoint(lat, lon)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _lines(start: GeoPoint, particles: tuple[Particle, ...]) -> tuple[CandidateLine, ...]:
@@ -89,51 +122,33 @@ def _lines(start: GeoPoint, particles: tuple[Particle, ...]) -> tuple[CandidateL
     return tuple(CandidateLine(start, p.position, d) for p, d in zip(particles, lengths))
 
 
-def build_search_area(
-    forecast: Forecast,
-    radius_multiplier: float = DEFAULT_RADIUS_MULTIPLIER,
-    radius_floor_km: float = DEFAULT_RADIUS_FLOOR_KM,
-) -> SearchArea:
+def build_search_area(forecast: Forecast) -> SearchArea:
     """Circle centered on the prediction, radius scaled from last-step error."""
-    radius = max(radius_multiplier * forecast.prev_step_error_km, radius_floor_km)
+    radius = max(RADIUS_MULTIPLIER * forecast.prev_step_error_km, RADIUS_FLOOR_KM)
     return SearchArea(center=forecast.predicted, radius_km=radius)
 
 
-def sample_particles(
-    forecast: Forecast,
-    k: int,
-    sigma_multiplier: float = DEFAULT_SIGMA_MULTIPLIER,
-    seed: int = 0,
-) -> list[Particle]:
+def sample_particles(forecast: Forecast, k: int, seed: int = 0) -> list[Particle]:
     """Draw k particles from an isotropic Gaussian around the prediction.
 
-    Sigma is stated in kilometers (sigma_multiplier times the previous-step
-    error), so sampling happens in the local tangent plane and the draws are
-    converted back to lat/lon.
+    Sigma is stated in kilometers (:data:`SIGMA_MULTIPLIER` times the
+    previous-step error), so sampling happens in the local tangent plane and
+    the draws are converted back to lat/lon.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    sigma_km = sigma_multiplier * forecast.prev_step_error_km
+    sigma_km = SIGMA_MULTIPLIER * forecast.prev_step_error_km
     rng = np.random.default_rng(seed)
     offsets = rng.normal(0.0, sigma_km, size=(k, 2)) if sigma_km > 0 else np.zeros((k, 2))
     lats, lons = local_to_latlon(offsets[:, 0], offsets[:, 1], forecast.predicted)
     return [Particle(GeoPoint(float(lat), float(lon))) for lat, lon in zip(lats, lons)]
 
 
-def build_scenario(
-    track: DrifterTrack,
-    spec: AccidentSpec,
-    forecast: Forecast,
-    k: int,
-    seed: int,
-    radius_multiplier: float = DEFAULT_RADIUS_MULTIPLIER,
-    sigma_multiplier: float = DEFAULT_SIGMA_MULTIPLIER,
-    radius_floor_km: float = DEFAULT_RADIUS_FLOOR_KM,
-) -> Scenario:
+def build_scenario(track: DrifterTrack, spec: AccidentSpec, forecast: Forecast, k: int, seed: int) -> Scenario:
     """Assemble area, particles, and candidate lines into one scenario."""
     spec.validate_against(track)
     accident = track.position(spec.accident_index)
-    area = build_search_area(forecast, radius_multiplier, radius_floor_km)
-    particles = tuple(sample_particles(forecast, k, sigma_multiplier, seed))
-    sigma_km = sigma_multiplier * forecast.prev_step_error_km
+    area = build_search_area(forecast)
+    particles = tuple(sample_particles(forecast, k, seed))
+    sigma_km = SIGMA_MULTIPLIER * forecast.prev_step_error_km
     return Scenario(accident=accident, area=area, particles=particles, lines=_lines(accident, particles), sigma_km=sigma_km)

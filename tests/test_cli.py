@@ -115,13 +115,17 @@ def test_experiment_config_bad_algorithm_fails_before_any_cell(tmp_path):
         ("sigma_multiplier", -1.0),
         ("sigma_multiplier", float("inf")),
         ("radius_floor_km", 0.0),
+        ("fitness_unit_m", 0.0),
+        ("eval_unit_m", -1.0),
     ],
 )
 def test_experiment_config_bad_scenario_setting_fails_before_any_cell(tmp_path, key, value):
+    # The scenario multipliers, the radius floor and both discretisation units
+    # are module constants; a config may not set them, valid or not.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({key: value}))  # NaN and inf as Python's json writes them
     out = tmp_path / "exp-out"
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(ValueError, match=f"unknown key.*: {key}$"):
         main(["experiment", "--config", str(config), "--out", str(out)])
     assert not (out / "results.csv").exists()
 

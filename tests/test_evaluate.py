@@ -75,6 +75,21 @@ class TestSurvivalChain:
     def test_within_zero_and_k0(self, pods, k0):
         assert 0.0 <= survival_chain(np.array(pods), k0) <= k0
 
+    @example(pods=[0.0, 0.0, 0.0], k0=100)
+    @example(pods=[0.4], k0=100)
+    @example(pods=[0.0, 1.0, 0.5, 0.0, 1.0, 0.3], k0=100)  # p = 1 followed by p > 0
+    @given(
+        pods=st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)), max_size=300),
+        k0=st.integers(1, 10_000),
+    )
+    def test_literal_chain_matches_full_array_formula(self, pods, k0):
+        # The sum over covered segments only may differ from the sum over
+        # every segment in the last bits.
+        pods = np.array(pods)
+        prev = np.concatenate([[0.0], pods[:-1]])
+        full = float(k0 * np.sum((1.0 - prev) ** np.arange(len(pods), dtype=float) * pods))
+        assert literal_chain(pods, k0) == pytest.approx(full, rel=1e-12, abs=0.0)
+
 
 class TestMonteCarloChain:
     def test_matches_analytic(self):

@@ -93,8 +93,6 @@ class TestSpecValidation:
             {"uav_counts": (6, 0)},
             {"particle_counts": (0,)},
             {"budget_evals": 49},  # below the GA and PSO population
-            {"fitness_unit_m": 0.0},
-            {"eval_unit_m": -1.0},
             {"k0": 0},
         ],
         ids=lambda overrides: next(iter(overrides)),

@@ -43,7 +43,7 @@ class TestExportGeojson:
     def test_written_file_parses(self, plan, tmp_path):
         track, scen, dep, report = plan
         path = tmp_path / "plan.geojson"
-        export_geojson(scen, dep, path, track=track, track_slice=(6, 12), report=report, eval_unit_m=5.0)
+        export_geojson(scen, dep, path, track=track, track_slice=(6, 12), report=report)
         doc = json.loads(path.read_text())
         assert doc["type"] == "FeatureCollection"
 
@@ -68,15 +68,19 @@ class TestExportGeojson:
 
     def test_trajectory_and_covered_segments(self, plan, tmp_path):
         track, scen, dep, report = plan
-        doc = export_geojson(
-            scen, dep, tmp_path / "p.geojson", track=track, track_slice=(6, 12),
-            report=report, eval_unit_m=5.0,
-        )
+        doc = export_geojson(scen, dep, tmp_path / "p.geojson", track=track, track_slice=(6, 12), report=report)
         roles = self.roles(doc)
         assert roles.count("trajectory") == 1
-        if report.n_covered:
-            covered = next(f for f in doc["features"] if f["properties"]["role"] == "covered-segments")
-            assert len(covered["geometry"]["coordinates"]) == report.n_covered
+        # The covered midpoints are rebuilt at the report's own 5 m unit.
+        assert report.unit_m == 5.0 and report.n_covered
+        covered = [f for f in doc["features"] if f["properties"]["role"] == "covered-segments"]
+        assert len(covered) == 1
+        assert len(covered[0]["geometry"]["coordinates"]) == report.n_covered
+
+    def test_report_of_another_slice_raises(self, plan, tmp_path):
+        track, scen, dep, report = plan
+        with pytest.raises(ValueError, match="segments"):
+            export_geojson(scen, dep, tmp_path / "p.geojson", track=track, track_slice=(6, 11), report=report)
 
     def test_without_deployment(self, plan, tmp_path):
         track, scen, dep, report = plan

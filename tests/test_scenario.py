@@ -4,12 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from driftsearch.forecast import Forecast
 from driftsearch.geo import GeoPoint, haversine_km_arrays, latlon_to_local
 from driftsearch.ingest import AccidentSpec, synthesize_track
 from driftsearch.scenario import (
-    DEFAULT_RADIUS_FLOOR_KM,
+    RADIUS_FLOOR_KM,
     Scenario,
     build_scenario,
     build_search_area,
@@ -27,11 +29,7 @@ class TestBuildSearchArea:
 
     def test_floor_applies_for_tiny_error(self):
         area = build_search_area(Forecast(PRED, 0.01, 7))
-        assert area.radius_km == DEFAULT_RADIUS_FLOOR_KM
-
-    def test_custom_multiplier(self):
-        area = build_search_area(Forecast(PRED, 1.0, 7), radius_multiplier=2.5)
-        assert area.radius_km == pytest.approx(2.5)
+        assert area.radius_km == RADIUS_FLOOR_KM
 
 
 class TestSampleParticles:
@@ -52,7 +50,7 @@ class TestSampleParticles:
 
     def test_spread_matches_sigma(self):
         # Large-sample standard deviation of the offsets should approach
-        # sigma = sigma_multiplier * prev_step_error.
+        # sigma = SIGMA_MULTIPLIER * prev_step_error.
         fc = Forecast(PRED, 0.75, 7)
         particles = sample_particles(fc, 4000, seed=1)
         offsets = np.column_stack(
@@ -118,3 +116,67 @@ class TestBuildScenario:
         _, _, scen = self.make()
         with pytest.raises(ValueError):
             Scenario(scen.accident, scen.area, scen.particles, scen.lines[:-1], scen.sigma_km)
+
+
+VALID_DOC = {
+    "accident": {"lat": 34.0, "lon": 127.0},
+    "center": {"lat": 34.02, "lon": 127.03},
+    "radius_km": 2.4,
+    "sigma_km": 2.4,
+    "particles": [{"lat": 34.03, "lon": 127.01}, {"lat": 34.01, "lon": 127.05}],
+}
+
+
+# Explicit alphabets keep the strategies from building Hypothesis's unicode table.
+KEY_TEXT = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12)
+NUMERIC_TEXT = st.text("0123456789.e-", max_size=8)  # "1.5" is still a string
+
+
+@st.composite
+def malformed_docs(draw):
+    """A scenario document with one fault, and the names its error must give."""
+    doc = json.loads(json.dumps(VALID_DOC))
+    points = [(doc["accident"], "accident"), (doc["center"], "center")]
+    points += [(p, f"particles[{i}]") for i, p in enumerate(doc["particles"])]
+    numbers = [(doc, "radius_km", "radius_km"), (doc, "sigma_km", "sigma_km")]
+    numbers += [(p, key, f"{name}.{key}") for p, name in points for key in ("lat", "lon")]
+    fault = draw(st.sampled_from(["missing", "extra", "non-numeric", "non-finite", "negative sigma", "no particles"]))
+    if fault in ("missing", "extra"):
+        obj, name = draw(st.sampled_from([(doc, "scenario"), *points]))
+        if fault == "missing":
+            key = draw(st.sampled_from(sorted(obj)))
+            del obj[key]
+            return doc, [name, repr(key)]
+        key = draw(KEY_TEXT.filter(lambda k: k not in obj))
+        obj[key] = draw(st.one_of(st.none(), st.integers(), st.floats(), NUMERIC_TEXT))
+        return doc, [name, repr(key)]
+    if fault in ("non-numeric", "non-finite"):
+        obj, key, name = draw(st.sampled_from(numbers))
+        if fault == "non-numeric":
+            obj[key] = draw(st.one_of(
+                st.none(), st.booleans(), NUMERIC_TEXT, st.lists(st.integers(), max_size=2),
+                st.dictionaries(KEY_TEXT, st.integers(), max_size=2),
+            ))
+        else:
+            obj[key] = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+        return doc, [name]
+    if fault == "negative sigma":
+        doc["sigma_km"] = draw(st.floats(max_value=0.0, exclude_max=True, allow_infinity=False))
+        return doc, ["sigma_km"]
+    doc["particles"] = []
+    return doc, ["particles"]
+
+
+class TestScenarioFromJson:
+    def test_valid_document_parses(self):
+        scen = Scenario.from_json(json.dumps(VALID_DOC))
+        assert scen.area.radius_km == 2.4
+        assert len(scen.lines) == 2
+
+    @given(malformed_docs())
+    def test_malformed_document_raises_value_error_naming_the_field(self, case):
+        doc, names = case
+        with pytest.raises(ValueError) as exc:
+            Scenario.from_json(json.dumps(doc))  # NaN and inf as Python's json writes them
+        for name in names:
+            assert name in str(exc.value)
