@@ -154,9 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run the full comparison grid")
     add_accident(p)
     p.add_argument("--config", help="experiment spec JSON")
-    p.add_argument("--algo", nargs="*", choices=ALGORITHMS)
-    p.add_argument("--uavs", nargs="*", type=int)
-    p.add_argument("--particles", nargs="*", type=int)
+    p.add_argument("--algo", nargs="+", choices=ALGORITHMS)
+    p.add_argument("--uavs", nargs="+", type=int)
+    p.add_argument("--particles", nargs="+", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", default="out")
     p.add_argument("--maps", action="store_true", help="write per-cell GeoJSON maps")

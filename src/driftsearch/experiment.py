@@ -14,6 +14,7 @@ import csv
 import hashlib
 import itertools
 import logging
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +44,15 @@ class InstanceSpec:
     predictor: PredictorSpec
 
 
+# The item type of each grid field.
+_GRID_ITEMS = {"instances": InstanceSpec, "algorithms": str, "seeds": int, "uav_counts": int, "particle_counts": int}
+
+
+def _is(value, kind: type) -> bool:
+    """isinstance, where an int is any numbers.Integral (numpy's too) except bool."""
+    return isinstance(value, numbers.Integral if kind is int else kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     instances: tuple[InstanceSpec, ...]
@@ -54,15 +64,14 @@ class ExperimentSpec:
     k0: int = 100
 
     def __post_init__(self) -> None:
-        for name, seq in (
-            ("instances", self.instances),
-            ("algorithms", self.algorithms),
-            ("seeds", self.seeds),
-            ("uav_counts", self.uav_counts),
-            ("particle_counts", self.particle_counts),
-        ):
-            if not seq:
-                raise ValueError(f"{name} must be non-empty")
+        # Types first, by field name: a bare string, a bool or a float count would reach the cells.
+        for name, kind in _GRID_ITEMS.items():
+            seq = getattr(self, name)
+            if not (isinstance(seq, tuple) and seq and all(_is(v, kind) for v in seq)):
+                raise ValueError(f"{name} must be a non-empty tuple of {kind.__name__}, got {seq!r:.80}")
+        for name in ("budget_evals", "k0"):
+            if not _is(getattr(self, name), int):
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if min(self.particle_counts) < 1:
             raise ValueError("particle_counts must be >= 1")
         # Fail on a bad algorithm, UAV count, budget or cohort size before any cell runs.

@@ -5,6 +5,10 @@ evaluation budget, counted at the fitness call site, so runs with the same
 budget are directly comparable. Random search deliberately skips the repair
 step; SA, PSO, and GA repair every candidate they evaluate.
 
+:func:`run` builds the run's one evaluator, one seeded Generator and the
+result. A runner takes (evaluator, Generator, config), spends exactly the
+budget, and returns its best coordinates, their int score and the history.
+
 Internally the decision variable is an (n_uavs, 2) array of local-plane
 kilometers anchored at the search-area center; conversion to lat/lon happens
 only at the API boundary.
@@ -28,6 +32,7 @@ from .scenario import Scenario, SearchArea
 ALGORITHMS = ("random", "sa", "pso", "ga")
 
 POP_SIZE = 50  # GA and PSO; even, so the GA pairs every parent
+RANDOM_BLOCK = 50  # random search draws and scores this many deployments at a time
 GA_BLX_ALPHA = 0.5
 GA_MUTATION_RATE = 0.1
 PSO_INERTIA_W = 0.7
@@ -99,7 +104,7 @@ class FitnessEvaluator:
     def __init__(self, scenario: Scenario, unit_m: float = FITNESS_UNIT_M):
         if unit_m <= 0:
             raise ValueError("unit_m must be positive")
-        self.scenario = scenario
+        self.area = scenario.area
         self.center = scenario.area.center
         mids_e: list[np.ndarray] = []
         mids_n: list[np.ndarray] = []
@@ -121,7 +126,8 @@ class FitnessEvaluator:
         self._lat2 = np.append(self.index.lat, self.center.lat)
         self._lon2 = np.append(self.index.lon, self.center.lon)
 
-    def evaluate_coords(self, coords_km: np.ndarray) -> FitnessValue:
+    def evaluate_coords(self, coords_km: np.ndarray) -> int:
+        """Number of segments detected by UAVs at local-plane `coords_km` (n, 2)."""
         self.evals += 1
         lat, lon = local_to_latlon(coords_km[:, 0], coords_km[:, 1], self.center)
         n = len(lat)
@@ -133,16 +139,13 @@ class FitnessEvaluator:
         inside = d[n:] * 1000.0 < radii_m[uav[n:]]
         detected = np.zeros(self.total_segments, dtype=bool)
         detected[mid[n:][inside]] = True
-        return FitnessValue(int(np.count_nonzero(detected)), self.total_segments)
-
-    def evaluate(self, deployment: Deployment) -> FitnessValue:
-        """Fitness of a deployment; its UAVs are read in this scenario's frame."""
-        return self.evaluate_coords(replace(deployment, area=self.scenario.area).coords_km())
+        return int(np.count_nonzero(detected))
 
 
 def fitness(deployment: Deployment, scenario: Scenario, unit_m: float = FITNESS_UNIT_M) -> FitnessValue:
-    """One-off fitness of a deployment (builds a throwaway evaluator)."""
-    return FitnessEvaluator(scenario, unit_m).evaluate(deployment)
+    """One-off fitness of a deployment; its UAVs are read in this scenario's frame."""
+    ev = FitnessEvaluator(scenario, unit_m)
+    return FitnessValue(ev.evaluate_coords(replace(deployment, area=scenario.area).coords_km()), ev.total_segments)
 
 
 def _random_coords(n_uavs: int, radius_km: float, rng: np.random.Generator) -> np.ndarray:
@@ -154,33 +157,35 @@ def _random_coords(n_uavs: int, radius_km: float, rng: np.random.Generator) -> n
 
 def initialize(n_uavs: int, area: SearchArea, seed: int) -> Deployment:
     """Random deployment inside the search area, radii derived per position."""
-    rng = np.random.default_rng(seed)
-    coords = _random_coords(n_uavs, area.radius_km, rng)
-    return Deployment.from_coords(coords, area)
+    return Deployment.from_coords(_random_coords(n_uavs, area.radius_km, np.random.default_rng(seed)), area)
 
 
-def run_random(scenario: Scenario, config: OptimizerConfig) -> OptimizationResult:
-    """Pure random sampling, no repair; the unguided baseline."""
-    rng = np.random.default_rng(config.seed)
-    ev = FitnessEvaluator(scenario)
-    area = scenario.area
-    best_coords = None
-    best_fv = None
-    history: list[float] = []
-    block = min(50, config.budget_evals)
-    for i in range(config.budget_evals):
-        coords = _random_coords(config.n_uavs, area.radius_km, rng)
-        fv = ev.evaluate_coords(coords)
-        if best_fv is None or fv.score > best_fv.score:
-            best_fv, best_coords = fv, coords
-        if (i + 1) % block == 0 or i + 1 == config.budget_evals:
-            history.append(float(best_fv.score))
-    return OptimizationResult(Deployment.from_coords(best_coords, area), best_fv, tuple(history), ev.evals)
+Outcome = tuple[np.ndarray, int, list[float]]
 
 
-def _blx_children(
-    a: np.ndarray, b: np.ndarray, alpha: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+def run_random(ev: FitnessEvaluator, rng: np.random.Generator, config: OptimizerConfig) -> Outcome:
+    """Pure random sampling, no repair; the unguided baseline. Deployments are
+    drawn and scored in blocks of :data:`RANDOM_BLOCK`, one history entry each."""
+    best_coords, best, history = None, -1, []
+    for start in range(0, config.budget_evals, RANDOM_BLOCK):
+        size = min(RANDOM_BLOCK, config.budget_evals - start)
+        block = [_random_coords(config.n_uavs, ev.area.radius_km, rng) for _ in range(size)]
+        scores = [ev.evaluate_coords(c) for c in block]
+        i = max(range(size), key=scores.__getitem__)
+        if scores[i] > best:
+            best, best_coords = scores[i], block[i]
+        history.append(float(best))
+    return best_coords, best, history
+
+
+def _population(ev: FitnessEvaluator, rng: np.random.Generator, n_uavs: int) -> tuple[list[np.ndarray], list[int]]:
+    """:data:`POP_SIZE` repaired random deployments and their scores."""
+    radius, center = ev.area.radius_km, ev.center
+    pop = [repair_coords(_random_coords(n_uavs, radius, rng), radius, center) for _ in range(POP_SIZE)]
+    return pop, [ev.evaluate_coords(c) for c in pop]
+
+
+def _blx_children(a: np.ndarray, b: np.ndarray, alpha: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Blend crossover per gene: uniform in the parents' interval +- alpha*|diff|."""
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
@@ -190,70 +195,50 @@ def _blx_children(
     return low + (high - low) * u[0], low + (high - low) * u[1]
 
 
-def run_ga(scenario: Scenario, config: OptimizerConfig) -> OptimizationResult:
-    """Generational GA with BLX crossover, reset mutation, and elitist truncation."""
-    rng = np.random.default_rng(config.seed)
-    ev = FitnessEvaluator(scenario)
-    area = scenario.area
-    radius = area.radius_km
-    center = area.center
-
-    pop = [repair_coords(_random_coords(config.n_uavs, radius, rng), radius, center) for _ in range(POP_SIZE)]
-    fits = [ev.evaluate_coords(c) for c in pop]
-    best_idx = max(range(len(pop)), key=lambda i: fits[i].score)
-    best_coords, best_fv = pop[best_idx], fits[best_idx]
-    history = [float(best_fv.score)]
+def run_ga(ev: FitnessEvaluator, rng: np.random.Generator, config: OptimizerConfig) -> Outcome:
+    """Generational GA with BLX crossover, reset mutation, and elitist truncation. Each
+    generation is drawn whole before its children are repaired; a short last one scores its first."""
+    radius, center = ev.area.radius_km, ev.center
+    pop, fits = _population(ev, rng, config.n_uavs)
+    best = max(range(POP_SIZE), key=fits.__getitem__)
+    best_coords, best_score = pop[best], fits[best]
+    history = [float(best_score)]
 
     while ev.evals < config.budget_evals:
-        n_offspring = min(POP_SIZE, config.budget_evals - ev.evals)
-        order = rng.permutation(POP_SIZE)
-        offspring: list[np.ndarray] = []
-        for pair_idx in range(POP_SIZE // 2):
-            ia, ib = order[2 * pair_idx], order[2 * pair_idx + 1]
+        children: list[np.ndarray] = []
+        for ia, ib in rng.permutation(POP_SIZE).reshape(-1, 2):
             rng.random()  # the crossover draw; the rate is 1, but the draw stays in the stream
             for child in _blx_children(pop[ia], pop[ib], GA_BLX_ALPHA, rng):
                 reset = rng.random(config.n_uavs) < GA_MUTATION_RATE
                 n_reset = int(reset.sum())
                 if n_reset:
                     child[reset] = _random_coords(n_reset, radius, rng)
-                offspring.append(repair_coords(child, radius, center))
-                if len(offspring) == n_offspring:
-                    break
-            if len(offspring) == n_offspring:
-                break
-        off_fits = [ev.evaluate_coords(c) for c in offspring]
+                children.append(child)
+        offspring = [repair_coords(c, radius, center) for c in children[: config.budget_evals - ev.evals]]
         # (mu + lambda) elitist truncation; stable sort keeps first-found on ties.
         pool = pop + offspring
-        pool_fits = fits + off_fits
-        keep = sorted(range(len(pool)), key=lambda i: -pool_fits[i].score)[:POP_SIZE]
+        pool_fits = fits + [ev.evaluate_coords(c) for c in offspring]
+        keep = sorted(range(len(pool)), key=lambda i: -pool_fits[i])[:POP_SIZE]
         pop = [pool[i] for i in keep]
         fits = [pool_fits[i] for i in keep]
-        if fits[0].score > best_fv.score:
-            best_fv, best_coords = fits[0], pop[0]
-        history.append(float(best_fv.score))
-    return OptimizationResult(Deployment.from_coords(best_coords, area), best_fv, tuple(history), ev.evals)
+        if fits[0] > best_score:
+            best_score, best_coords = fits[0], pop[0]
+        history.append(float(best_score))
+    return best_coords, best_score, history
 
 
-def run_pso(scenario: Scenario, config: OptimizerConfig) -> OptimizationResult:
+def run_pso(ev: FitnessEvaluator, rng: np.random.Generator, config: OptimizerConfig) -> Outcome:
     """Standard inertia-weight PSO; every position update is repaired."""
-    rng = np.random.default_rng(config.seed)
-    ev = FitnessEvaluator(scenario)
-    area = scenario.area
-    radius = area.radius_km
-    center = area.center
-
-    pos = [repair_coords(_random_coords(config.n_uavs, radius, rng), radius, center) for _ in range(POP_SIZE)]
+    radius, center = ev.area.radius_km, ev.center
+    pos, fits = _population(ev, rng, config.n_uavs)
     vel = [np.zeros((config.n_uavs, 2)) for _ in range(POP_SIZE)]
-    fits = [ev.evaluate_coords(c) for c in pos]
-    pbest = [c.copy() for c in pos]
-    pbest_f = list(fits)
-    g_idx = max(range(POP_SIZE), key=lambda i: fits[i].score)
+    pbest, pbest_f = [c.copy() for c in pos], list(fits)
+    g_idx = max(range(POP_SIZE), key=fits.__getitem__)
     gbest, gbest_f = pos[g_idx].copy(), fits[g_idx]
-    history = [float(gbest_f.score)]
+    history = [float(gbest_f)]
 
     while ev.evals < config.budget_evals:
-        n_updates = min(POP_SIZE, config.budget_evals - ev.evals)
-        for i in range(n_updates):
+        for i in range(min(POP_SIZE, config.budget_evals - ev.evals)):
             r1 = rng.uniform(size=(config.n_uavs, 2))
             r2 = rng.uniform(size=(config.n_uavs, 2))
             vel[i] = (
@@ -262,34 +247,29 @@ def run_pso(scenario: Scenario, config: OptimizerConfig) -> OptimizationResult:
                 + PSO_C2 * r2 * (gbest - pos[i])
             )
             pos[i] = repair_coords(pos[i] + vel[i], radius, center)
-            fv = ev.evaluate_coords(pos[i])
-            if fv.score > pbest_f[i].score:
-                pbest[i], pbest_f[i] = pos[i].copy(), fv
-                if fv.score > gbest_f.score:
-                    gbest, gbest_f = pos[i].copy(), fv
-        history.append(float(gbest_f.score))
-    return OptimizationResult(Deployment.from_coords(gbest, area), gbest_f, tuple(history), ev.evals)
+            score = ev.evaluate_coords(pos[i])
+            if score > pbest_f[i]:
+                pbest[i], pbest_f[i] = pos[i].copy(), score
+                if score > gbest_f:
+                    gbest, gbest_f = pos[i].copy(), score
+        history.append(float(gbest_f))
+    return gbest, gbest_f, history
 
 
-def run_sa(scenario: Scenario, config: OptimizerConfig) -> OptimizationResult:
+def run_sa(ev: FitnessEvaluator, rng: np.random.Generator, config: OptimizerConfig) -> Outcome:
     """Single-chain simulated annealing with a temperature-scaled Gaussian step.
 
     The temperature drops by the cooling factor once per epoch, where an epoch
     is budget / :data:`SA_EPOCHS` evaluations; this stretches the epochs over
     the shared budget.
     """
-    rng = np.random.default_rng(config.seed)
-    ev = FitnessEvaluator(scenario)
-    area = scenario.area
-    radius = area.radius_km
-    center = area.center
-
+    radius, center = ev.area.radius_km, ev.center
     current = repair_coords(_random_coords(config.n_uavs, radius, rng), radius, center)
     current_f = ev.evaluate_coords(current)
     best, best_f = current, current_f
     temperature = SA_T0
     epoch = max(1, config.budget_evals // SA_EPOCHS)
-    history = [float(best_f.score)]
+    history = [float(best_f)]
 
     while ev.evals < config.budget_evals:
         # Move one randomly chosen UAV by a temperature-scaled Gaussian step.
@@ -300,23 +280,26 @@ def run_sa(scenario: Scenario, config: OptimizerConfig) -> OptimizationResult:
         uav = int(rng.integers(config.n_uavs))
         candidate[uav] += rng.normal(0.0, sigma, size=2)
         candidate = repair_coords(candidate, radius, center)
-        fv = ev.evaluate_coords(candidate)
-        delta = fv.score - current_f.score
+        score = ev.evaluate_coords(candidate)
+        delta = score - current_f
         if delta >= 0 or rng.random() < math.exp(delta / temperature):
-            current, current_f = candidate, fv
-            if fv.score > best_f.score:
-                best, best_f = candidate, fv
+            current, current_f = candidate, score
+            if score > best_f:
+                best, best_f = candidate, score
         if ev.evals % epoch == 0:
             temperature *= SA_COOLING
-            history.append(float(best_f.score))
-    if not history or history[-1] != float(best_f.score):
-        history.append(float(best_f.score))
-    return OptimizationResult(Deployment.from_coords(best, area), best_f, tuple(history), ev.evals)
+            history.append(float(best_f))
+    if history[-1] != float(best_f):
+        history.append(float(best_f))
+    return best, best_f, history
 
 
 _RUNNERS = {"random": run_random, "ga": run_ga, "pso": run_pso, "sa": run_sa}
 
 
 def run(scenario: Scenario, config: OptimizerConfig) -> OptimizationResult:
-    """Dispatch to the configured algorithm."""
-    return _RUNNERS[config.algorithm](scenario, config)
+    """Run the configured algorithm on one evaluator and one seeded Generator."""
+    ev = FitnessEvaluator(scenario)
+    coords, score, history = _RUNNERS[config.algorithm](ev, np.random.default_rng(config.seed), config)
+    best = Deployment.from_coords(coords, scenario.area)
+    return OptimizationResult(best, FitnessValue(score, ev.total_segments), tuple(history), ev.evals)

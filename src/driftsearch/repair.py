@@ -95,9 +95,9 @@ def _clamp_to_boundary(padded_km: np.ndarray, radius_km: float, center: GeoPoint
     """Project any out-of-area UAV onto the boundary circle (in place).
 
     `padded_km` holds the UAV rows followed by a zero row for the center (see
-    :func:`_geometry`). Up to four rounds of radial scaling. Returns the
-    (center, pairwise) distances of the final coordinates, or None when the
-    last round still moved a UAV; such a UAV may remain outside by a few ulps.
+    :func:`_geometry`). Up to four rounds of radial scaling; a UAV that the
+    last one moved may remain outside by a few ulps. Returns the (center,
+    pairwise) distances of the final coordinates.
     """
     coords_km = padded_km[:-1]
     for _ in range(4):
@@ -106,7 +106,7 @@ def _clamp_to_boundary(padded_km: np.ndarray, radius_km: float, center: GeoPoint
             return d, pairwise
         # Outside: radius / d. Inside (or NaN): radius / radius, exactly 1.
         coords_km *= (radius_km / np.fmax(d, radius_km))[:, None]
-    return None
+    return _geometry(padded_km, center)
 
 
 def _separate_coincident(
@@ -147,11 +147,10 @@ def repair_coords(
     rng = None  # the jitter stream starts at the first coincident pair
 
     # Phase 1: boundary correction via linear interpolation toward the center.
-    geometry = _clamp_to_boundary(padded, area_radius_km, center)
+    d_center, pairwise = _clamp_to_boundary(padded, area_radius_km, center)
 
     # Phases 2-3: repulsive forces, then boundary clamping, until no overlap.
     for _ in range(config.max_iter):
-        d_center, pairwise = geometry if geometry is not None else _geometry(padded, center)
         zero = pairwise[upper_i, upper_j] == 0.0
         if np.count_nonzero(zero):
             if rng is None:
@@ -164,7 +163,7 @@ def repair_coords(
             break
         active = counts > 0
         coords[active] += ALPHA_R * forces[active] / counts[active, None]
-        geometry = _clamp_to_boundary(padded, area_radius_km, center)
+        d_center, pairwise = _clamp_to_boundary(padded, area_radius_km, center)
     return coords
 
 

@@ -149,7 +149,7 @@ def test_criterion_06_brute_force_fitness_optimum():
     for east in lattice:
         for north in lattice:
             if east * east + north * north <= 4.0:
-                lattice_best = max(lattice_best, ev.evaluate_coords(np.array([[east, north]])).score)
+                lattice_best = max(lattice_best, ev.evaluate_coords(np.array([[east, north]])))
 
     result = run(scen, OptimizerConfig("ga", n_uavs=1, budget_evals=2500, seed=0))
     assert result.best_fitness.score == lattice_best

@@ -1,9 +1,14 @@
 """End-to-end CLI coverage via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import driftsearch
 from driftsearch.cli import main
 from driftsearch.geo import GeoPoint
 from driftsearch.ingest import save_tracks, synthesize_track
@@ -128,6 +133,38 @@ def test_experiment_config_bad_scenario_setting_fails_before_any_cell(tmp_path, 
     with pytest.raises(ValueError, match=f"unknown key.*: {key}$"):
         main(["experiment", "--config", str(config), "--out", str(out)])
     assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"seeds": [True]}, "seeds"),
+        ({"uav_counts": [6.5]}, "uav_counts"),
+        ({"algorithms": "ga"}, "algorithms"),
+        ({"seeds": 3}, "seeds"),
+    ],
+)
+def test_experiment_config_wrong_type_exits_1_before_any_cell(tmp_path, doc, field):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "exp-out"
+    env = {**os.environ, "PYTHONPATH": str(Path(driftsearch.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "driftsearch.cli", "experiment", "--config", str(config), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert f"ValueError: {field} must be" in proc.stderr
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--algo", "--uavs", "--particles"])
+def test_experiment_list_flag_without_values_is_an_error(flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", flag, "--out", str(tmp_path / "exp-out")])
+    assert exc.value.code == 2
+    assert "expected at least one argument" in capsys.readouterr().err
+    assert not (tmp_path / "exp-out").exists()
 
 
 @pytest.mark.parametrize("command", ["plan", "experiment"])

@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftsearch import experiment
 from driftsearch.evaluate import coverage
@@ -101,6 +103,28 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             replace(default_spec(), **overrides)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seeds", (True,)),
+            ("uav_counts", (6.5,)),
+            ("particle_counts", (np.float64(10.0),)),
+            ("algorithms", "ga"),
+            ("algorithms", (1,)),
+            ("seeds", 3),
+            ("instances", list(synthetic_instances(1))),
+            ("budget_evals", 2500.0),
+            ("k0", True),
+        ],
+    )
+    def test_wrongly_typed_values_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            replace(default_spec(), **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = replace(default_spec(), seeds=(np.int64(0),), uav_counts=(np.int32(6),), budget_evals=np.int64(60))
+        assert spec.seeds == (0,) and spec.budget_evals == 60
+
 
 def shifted(track: DrifterTrack, delta: float) -> DrifterTrack:
     """`track` with every longitude moved by `delta` degrees (and wrapped)."""
@@ -139,7 +163,7 @@ def deployment_outcomes(scen: Scenario, track: DrifterTrack, seed: int, north: f
     deployments = [
         draws.uniform(-0.7, 0.7, (draws.integers(1, 9), 2)) * scen.area.radius_km * [1.0, north] for _ in range(20)
     ]
-    fitness = [ev.evaluate_coords(c).score for c in deployments]
+    fitness = [ev.evaluate_coords(c) for c in deployments]
     n_covered = [coverage(Deployment.from_coords(c, scen.area), track, 6, 12).n_covered for c in deployments[:5]]
     return fitness, n_covered
 
@@ -183,6 +207,50 @@ class TestRunCell:
         assert radius_misses == 0 and fitness_misses == 0
         assert sum(a == b for a, b in covered) >= 0.99 * len(covered)
         assert max(abs(a - b) for a, b in covered) <= 1
+
+    def test_longitude_translation_property(self):
+        # The relation above over hypothesis-drawn tracks. A shift either is
+        # generic or puts a chosen point within 0.05 deg of +-180: a history
+        # record (0-6), a horizon record (6-12) or the forecast, which is the
+        # center of the candidate lines. Forecast and scenario move with the
+        # track; fitness of fixed local deployments and 1 m coverage match on
+        # at least 99% of deployments over all examples, off by at most one
+        # segment on any.
+        counts = []
+
+        @settings(max_examples=100, deadline=None)
+        @given(
+            start=st.tuples(st.floats(-60.0, 60.0), st.floats(-180.0, 180.0)),
+            profile=st.tuples(st.integers(0, 2**31 - 1), st.floats(0.3, 1.5), st.floats(0.1, 0.8)),
+            anchor=st.one_of(st.none(), st.integers(0, 13)),  # 13: the forecast
+            side=st.sampled_from([180.0, -180.0]),
+            offset=st.floats(-0.05, 0.05),
+            generic=st.floats(-720.0, 720.0),
+            seed=st.integers(0, 2**31 - 1),
+        )
+        def check(start, profile, anchor, side, offset, generic, seed):
+            track = synthesize_track(profile[0], 16, GeoPoint(*start), profile[1], profile[2])
+            fc, scen = random_scenario(track)
+            if anchor is None:
+                delta = generic
+            else:
+                lon = fc.predicted.lon if anchor == 13 else track.position(anchor).lon
+                delta = side - lon + offset
+            moved_fc, moved_scen = random_scenario(shifted(track, delta))
+            for point, moved in [(fc.predicted, moved_fc.predicted), (scen.accident, moved_scen.accident)] + [
+                (p.position, q.position) for p, q in zip(scen.particles, moved_scen.particles)
+            ]:
+                assert haversine_km_arrays(moved.lat, moved.lon, point.lat, point.lon + delta) < 1e-6
+            assert moved_fc.prev_step_error_km == pytest.approx(fc.prev_step_error_km, rel=1e-9)
+            assert moved_scen.area.radius_km == pytest.approx(scen.area.radius_km, rel=1e-9)
+            fitness, n_covered = deployment_outcomes(scen, track, seed)
+            moved_fitness, moved_covered = deployment_outcomes(moved_scen, shifted(track, delta), seed)
+            pairs = list(zip(fitness + n_covered, moved_fitness + moved_covered))
+            assert max(abs(a - b) for a, b in pairs) <= 1
+            counts.extend(pairs)
+
+        check()
+        assert sum(a == b for a, b in counts) >= 0.99 * len(counts)
 
     def test_north_south_mirror_of_random_tracks(self):
         # Negating every latitude mirrors the forecast bit for bit. Particles

@@ -10,14 +10,22 @@ from hypothesis import strategies as st
 from driftsearch.forecast import Forecast
 from driftsearch.geo import EARTH_RADIUS_KM, METERS_PER_DEGREE, GeoPoint, haversine_km_arrays, local_to_latlon
 from driftsearch.ingest import AccidentSpec, synthesize_track
+from driftsearch.model import Deployment
+from driftsearch.repair import repair_coords
 from driftsearch.optimize import (
+    GA_BLX_ALPHA,
+    GA_MUTATION_RATE,
+    POP_SIZE,
     FitnessEvaluator,
     FitnessValue,
     OptimizerConfig,
     _blx_children,
+    _random_coords,
     fitness,
     initialize,
     run,
+    run_ga,
+    run_random,
 )
 from driftsearch.scenario import Particle, Scenario, SearchArea, _lines, build_scenario
 
@@ -69,7 +77,7 @@ class TestFitnessEvaluator:
         scen = small_scenario()
         ev = FitnessEvaluator(scen, unit_m=100.0)
         for _ in range(5):
-            ev.evaluate_coords(np.zeros((4, 2)))
+            assert type(ev.evaluate_coords(np.zeros((4, 2)))) is int
         assert ev.evals == 5
 
     def test_uav_on_line_detects_segments(self):
@@ -119,6 +127,88 @@ class TestBlxChildren:
             expected = seed_blx_children(parents[0], parents[1], alpha, frozen)
             assert all(np.array_equal(c, e) for c, e in zip(children, expected))
             assert rng.random() == frozen.random()
+
+
+def seed_run_random(scenario, config):
+    """Frozen copy of the random search that drew and scored one deployment at a time."""
+    rng = np.random.default_rng(config.seed)
+    ev = FitnessEvaluator(scenario)
+    best_coords, best, history = None, None, []
+    block = min(50, config.budget_evals)
+    for i in range(config.budget_evals):
+        coords = _random_coords(config.n_uavs, scenario.area.radius_km, rng)
+        score = ev.evaluate_coords(coords)
+        if best is None or score > best:
+            best, best_coords = score, coords
+        if (i + 1) % block == 0 or i + 1 == config.budget_evals:
+            history.append(float(best))
+    return best_coords, best, history, ev.evals
+
+
+def seed_run_ga(scenario, config):
+    """Frozen copy of the GA that repaired each child as it was drawn and
+    stopped drawing once a short last generation was full."""
+    rng = np.random.default_rng(config.seed)
+    ev = FitnessEvaluator(scenario)
+    radius, center = scenario.area.radius_km, scenario.area.center
+    pop = [repair_coords(_random_coords(config.n_uavs, radius, rng), radius, center) for _ in range(POP_SIZE)]
+    fits = [ev.evaluate_coords(c) for c in pop]
+    best_idx = max(range(len(pop)), key=lambda i: fits[i])
+    best_coords, best = pop[best_idx], fits[best_idx]
+    history = [float(best)]
+    while ev.evals < config.budget_evals:
+        n_offspring = min(POP_SIZE, config.budget_evals - ev.evals)
+        order = rng.permutation(POP_SIZE)
+        offspring = []
+        for pair_idx in range(POP_SIZE // 2):
+            ia, ib = order[2 * pair_idx], order[2 * pair_idx + 1]
+            rng.random()
+            for child in _blx_children(pop[ia], pop[ib], GA_BLX_ALPHA, rng):
+                reset = rng.random(config.n_uavs) < GA_MUTATION_RATE
+                n_reset = int(reset.sum())
+                if n_reset:
+                    child[reset] = _random_coords(n_reset, radius, rng)
+                offspring.append(repair_coords(child, radius, center))
+                if len(offspring) == n_offspring:
+                    break
+            if len(offspring) == n_offspring:
+                break
+        off_fits = [ev.evaluate_coords(c) for c in offspring]
+        pool = pop + offspring
+        pool_fits = fits + off_fits
+        keep = sorted(range(len(pool)), key=lambda i: -pool_fits[i])[:POP_SIZE]
+        pop = [pool[i] for i in keep]
+        fits = [pool_fits[i] for i in keep]
+        if fits[0] > best:
+            best, best_coords = fits[0], pop[0]
+        history.append(float(best))
+    return best_coords, best, history, ev.evals
+
+
+class TestBlockRunnersMatchFrozenLoops:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        runner=st.sampled_from([(run_random, seed_run_random, "random"), (run_ga, seed_run_ga, "ga")]),
+        n_uavs=st.integers(1, 12),
+        budget=st.one_of(st.integers(50, 400), st.sampled_from([50, 51, 99, 100, 101, 149, 399])),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_bitwise_equal(self, runner, n_uavs, budget, seed):
+        # Budgets that are not a multiple of 50 end in a short last generation or block.
+        new, frozen, algorithm = runner
+        scen = small_scenario()
+        config = OptimizerConfig(algorithm, n_uavs=n_uavs, budget_evals=budget, seed=seed)
+        ev = FitnessEvaluator(scen)
+        coords, score, history = new(ev, np.random.default_rng(seed), config)
+        expected_coords, expected_score, expected_history, expected_evals = frozen(scen, config)
+        assert coords.tobytes() == expected_coords.tobytes()
+        assert type(score) is int and score == expected_score
+        assert history == expected_history
+        assert ev.evals == expected_evals == budget
+        result = run(scen, config)
+        assert result.best == Deployment.from_coords(coords, scen.area)
+        assert result.best_fitness == FitnessValue(score, ev.total_segments)
+        assert result.history == tuple(history) and result.evals_used == budget
 
 
 class TestInitialize:
@@ -255,7 +345,7 @@ class TestPrunedFitness:
         rng = np.random.default_rng(seed)
         for spread_km in (0.5, 3.0, 8.0):
             coords = rng.normal(0.0, spread_km, size=(n_uavs, 2))
-            assert ev.evaluate_coords(coords).score == dense_detected(ev, coords)
+            assert ev.evaluate_coords(coords) == dense_detected(ev, coords)
 
     def test_disc_edge_along_both_axes(self):
         # A UAV at the center has a 600 m disc. One-segment lines from the
@@ -266,7 +356,7 @@ class TestPrunedFitness:
         ev = FitnessEvaluator(fan_scenario(center, ends, accident_km=(0.0, 0.0)), unit_m=2000.0)
         assert ev.total_segments == 4
         coords = np.zeros((1, 2))
-        assert ev.evaluate_coords(coords).score == dense_detected(ev, coords) == 2
+        assert ev.evaluate_coords(coords) == dense_detected(ev, coords) == 2
 
     def test_longitude_differences_beyond_half_a_turn(self):
         # One full parallel east of the center is the center again: the
@@ -275,7 +365,7 @@ class TestPrunedFitness:
         ev = FitnessEvaluator(fan_scenario(center, [(0.3, 0.4), (-0.5, 0.2)]), unit_m=50.0)
         turn_km = 2.0 * math.pi * EARTH_RADIUS_KM * math.cos(math.radians(center.lat))
         coords = np.array([[turn_km, 0.0]])
-        assert ev.evaluate_coords(coords).score == dense_detected(ev, coords) > 0
+        assert ev.evaluate_coords(coords) == dense_detected(ev, coords) > 0
 
     def test_out_of_range_latitudes_fall_back_to_all_pairs(self):
         ev = FitnessEvaluator(small_scenario(), unit_m=100.0)
@@ -287,7 +377,7 @@ class TestPrunedFitness:
         east = 180.0 * math.cos(math.radians(lat0)) * mpd_km
         for coords in (np.array([[east, north]]), np.array([[0.0, 0.0], [0.0, 1e5], [np.nan, 0.0]])):
             with np.errstate(invalid="ignore"):  # NaN distances for the NaN and far rows
-                assert ev.evaluate_coords(coords).score == dense_detected(ev, coords) > 0
+                assert ev.evaluate_coords(coords) == dense_detected(ev, coords) > 0
 
     def test_prunes_most_pairs(self):
         scen = small_scenario()

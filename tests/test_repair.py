@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 from driftsearch.geo import GeoPoint, haversine_km_arrays, local_to_latlon
 from driftsearch.model import Deployment
-from driftsearch.repair import ALPHA_R, RepairConfig, pairwise_repulsion, repair, repair_coords
+from driftsearch.repair import (
+    ALPHA_R,
+    RepairConfig,
+    _clamp_to_boundary,
+    _geometry,
+    pairwise_repulsion,
+    repair,
+    repair_coords,
+)
 from driftsearch.scenario import SearchArea
 
 CENTER = GeoPoint(34.0, 127.0)
@@ -272,6 +280,16 @@ class TestSeedEquivalence:
         center = GeoPoint(42.62723691444842, 130.06205862396064)
         expected = seed_repair_coords(coords, 0.3, center)
         assert np.array_equal(repair_coords(coords, 0.3, center), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(repair_inputs())
+    def test_clamp_returns_the_geometry_of_its_final_coordinates(self, case):
+        # Also when the fourth scaling still moved a UAV.
+        coords, radius_km, center, _ = case
+        padded = np.vstack([coords, np.zeros((1, 2))])
+        d_center, pairwise = _clamp_to_boundary(padded, radius_km, center)
+        expected_center, expected_pairwise = _geometry(padded, center)
+        assert np.array_equal(d_center, expected_center) and np.array_equal(pairwise, expected_pairwise)
 
     def test_rejects_non_positive_radius(self):
         with pytest.raises(ValueError):
