@@ -3,8 +3,8 @@
 from .geo import GeoPoint
 from .ingest import AccidentSpec, DrifterRecord, DrifterTrack, load_tracks, save_tracks, synthesize_track
 from .forecast import Forecast, PredictorSpec, benchmark_predictors, forecast_scenario, predict_recursive
-from .scenario import CandidateLine, Particle, Scenario, SearchArea, build_scenario, build_search_area, sample_particles
-from .model import Deployment, UavPosition, detection_pod, detection_radius_m
+from .scenario import CandidateLine, Scenario, SearchArea, build_scenario, build_search_area, sample_particles
+from .model import Deployment, UavPosition, detection_pod
 from .repair import RepairConfig, repair
 from .optimize import FitnessValue, OptimizationResult, OptimizerConfig, fitness, initialize, run
 from .evaluate import EvaluationConfig, EvaluationReport, coverage, segment_trajectory
@@ -25,7 +25,6 @@ __all__ = [
     "forecast_scenario",
     "predict_recursive",
     "CandidateLine",
-    "Particle",
     "Scenario",
     "SearchArea",
     "build_scenario",
@@ -34,7 +33,6 @@ __all__ = [
     "Deployment",
     "UavPosition",
     "detection_pod",
-    "detection_radius_m",
     "RepairConfig",
     "repair",
     "FitnessValue",

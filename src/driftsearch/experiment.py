@@ -14,7 +14,6 @@ import csv
 import hashlib
 import itertools
 import logging
-import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ from .forecast import PredictorSpec, forecast_scenario
 from .geo import GeoPoint
 from .geojson import export_geojson
 from .ingest import AccidentSpec, DrifterTrack, synthesize_track
-from .optimize import ALGORITHMS, OptimizerConfig, run
+from .optimize import ALGORITHMS, OptimizerConfig, is_int, run
 from .scenario import build_scenario
 
 log = logging.getLogger(__name__)
@@ -49,8 +48,8 @@ _GRID_ITEMS = {"instances": InstanceSpec, "algorithms": str, "seeds": int, "uav_
 
 
 def _is(value, kind: type) -> bool:
-    """isinstance, where an int is any numbers.Integral (numpy's too) except bool."""
-    return isinstance(value, numbers.Integral if kind is int else kind) and not isinstance(value, bool)
+    """isinstance, where an int follows :func:`~driftsearch.optimize.is_int`."""
+    return is_int(value) if kind is int else isinstance(value, kind)
 
 
 @dataclass(frozen=True)
@@ -69,12 +68,15 @@ class ExperimentSpec:
             seq = getattr(self, name)
             if not (isinstance(seq, tuple) and seq and all(_is(v, kind) for v in seq)):
                 raise ValueError(f"{name} must be a non-empty tuple of {kind.__name__}, got {seq!r:.80}")
-        for name in ("budget_evals", "k0"):
-            if not _is(getattr(self, name), int):
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+            # A repeated value would run (and count, and map) the same cells twice.
+            keys = [v.name for v in seq] if kind is InstanceSpec else list(seq)
+            if len(set(keys)) < len(keys):
+                raise ValueError(f"{name} repeats {sorted({k for k in keys if keys.count(k) > 1})}")
+        if not is_int(self.k0):
+            raise ValueError(f"k0 must be an int, got {self.k0!r}")
         if min(self.particle_counts) < 1:
             raise ValueError("particle_counts must be >= 1")
-        # Fail on a bad algorithm, UAV count, budget or cohort size before any cell runs.
+        # Fail on a bad algorithm, UAV count, budget (type too) or cohort size before any cell runs.
         for algorithm, n_uavs in itertools.product(self.algorithms, self.uav_counts):
             OptimizerConfig(algorithm, n_uavs, self.budget_evals)
         EvaluationConfig(k0=self.k0)

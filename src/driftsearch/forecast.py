@@ -35,7 +35,6 @@ class Forecast:
 
     predicted: GeoPoint
     prev_step_error_km: float
-    history_used: int
 
     def __post_init__(self) -> None:
         if self.prev_step_error_km < 0:
@@ -155,11 +154,11 @@ def forecast_scenario(
     predicted = predictions[horizon - 1]
     if horizon >= 2:
         pred, truth = predictions[horizon - 2], track.position(spec.accident_index + horizon - 1)
-        error_km = float(haversine_km_arrays(pred.lat, pred.lon, truth.lat, truth.lon))
+        (error_km,) = haversine_km_arrays([pred.lat], [pred.lon], [truth.lat], [truth.lon]).tolist()
     else:
         # One-step horizon: the "previous step" is the accident observation itself.
         error_km = 0.0
-    return Forecast(predicted=predicted, prev_step_error_km=error_km, history_used=spec.accident_index + 1)
+    return Forecast(predicted=predicted, prev_step_error_km=error_km)
 
 
 def benchmark_predictors(
@@ -179,8 +178,8 @@ def benchmark_predictors(
         errors: list[float] = []
         for track in tracks:
             idx = len(track) - 1 - horizon
-            predictions = predict_recursive(track, idx, horizon, spec)
-            for pred, truth in zip(predictions, (r.position for r in track.records[idx + 1 :])):
-                errors.append(float(haversine_km_arrays(pred.lat, pred.lon, truth.lat, truth.lon)))
+            pred = np.array([(p.lat, p.lon) for p in predict_recursive(track, idx, horizon, spec)])
+            truth = np.array([(r.position.lat, r.position.lon) for r in track.records[idx + 1 :]])
+            errors.extend(haversine_km_arrays(pred[:, 0], pred[:, 1], truth[:, 0], truth[:, 1]).tolist())
         results.append((spec, float(np.mean(errors))))
     return results

@@ -48,8 +48,12 @@ _PRUNE_MARGIN = 1e-6
 
 
 def haversine_km_arrays(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """Great-circle km between degree scalars or arrays, broadcast like numpy; a
-    batched call may differ from one call per pair in the last bit (SIMD loops)."""
+    """Great-circle km between degree arrays, broadcast like numpy.
+
+    With every result at least 1-d, a pair gives the same bits however the
+    pairs are batched, strided or broadcast (scalars may broadcast against
+    arrays). A 0-d call takes numpy's scalar loop, which can differ in the last
+    bit, so the package makes none."""
     half_dphi = np.subtract(lat2, lat1) * _HALF_RADIAN
     half_dlam = np.subtract(lon2, lon1) * _HALF_RADIAN
     s = np.sin(half_dphi) ** 2 + np.cos(np.radians(lat1)) * np.cos(np.radians(lat2)) * np.sin(half_dlam) ** 2

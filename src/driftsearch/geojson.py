@@ -9,7 +9,7 @@ import numpy as np
 from .evaluate import EvaluationReport, segment_trajectory
 from .geo import GeoPoint, local_to_latlon
 from .ingest import DrifterTrack
-from .model import Deployment
+from .model import Deployment, detection_pod
 from .scenario import Scenario
 
 
@@ -41,7 +41,7 @@ def scenario_features(scenario: Scenario) -> list[dict]:
         ),
     ]
     for p in scenario.particles:
-        feats.append(_feature({"type": "Point", "coordinates": _coord(p.position)}, role="particle"))
+        feats.append(_feature({"type": "Point", "coordinates": _coord(p)}, role="particle"))
     for line in scenario.lines:
         feats.append(
             _feature(
@@ -54,27 +54,13 @@ def scenario_features(scenario: Scenario) -> list[dict]:
 
 
 def deployment_features(deployment: Deployment) -> list[dict]:
+    radii_m = [u.detection_radius_m for u in deployment.uavs]
     feats = []
-    for uav in deployment.uavs:
-        feats.append(
-            _feature(
-                {"type": "Point", "coordinates": _coord(uav.position)},
-                role="uav",
-                detection_radius_m=uav.detection_radius_m,
-                pod=uav.pod,
-            )
-        )
-        feats.append(
-            _feature(
-                {
-                    "type": "Polygon",
-                    "coordinates": [circle_ring(uav.position, uav.detection_radius_m / 1000.0)],
-                },
-                role="uav-disc",
-                detection_radius_m=uav.detection_radius_m,
-                pod=uav.pod,
-            )
-        )
+    for uav, radius_m, pod in zip(deployment.uavs, radii_m, detection_pod(np.array(radii_m)).tolist()):
+        point = {"type": "Point", "coordinates": _coord(uav.position)}
+        disc = {"type": "Polygon", "coordinates": [circle_ring(uav.position, radius_m / 1000.0)]}
+        feats.append(_feature(point, role="uav", detection_radius_m=radius_m, pod=pod))
+        feats.append(_feature(disc, role="uav-disc", detection_radius_m=radius_m, pod=pod))
     return feats
 
 

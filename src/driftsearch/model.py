@@ -27,9 +27,11 @@ def radius_law(d_km):
     return np.minimum(np.maximum(raw, MIN_DETECTION_RADIUS_M), MAX_DETECTION_RADIUS_M)
 
 
-def detection_radius_m(uav_pos: GeoPoint, center: GeoPoint) -> float:
-    """Effective detection radius for a UAV placed at `uav_pos` (see :func:`radius_law`)."""
-    return float(radius_law(haversine_km_arrays(uav_pos.lat, uav_pos.lon, center.lat, center.lon)))
+def _radii_m(points: tuple[GeoPoint, ...], center: GeoPoint) -> list[float]:
+    """The :func:`radius_law` radius of a UAV at each point, from one 1-d distance call."""
+    lat = np.array([p.lat for p in points])
+    lon = np.array([p.lon for p in points])
+    return radius_law(haversine_km_arrays(lat, lon, center.lat, center.lon)).tolist()
 
 
 def detection_pod(radius_m):
@@ -51,11 +53,7 @@ class UavPosition:
     @classmethod
     def place(cls, position: GeoPoint, center: GeoPoint) -> "UavPosition":
         """Place a UAV and derive its radius from the distance to `center`."""
-        return cls(position, detection_radius_m(position, center))
-
-    @property
-    def pod(self) -> float:
-        return float(detection_pod(self.detection_radius_m))
+        return cls(position, _radii_m((position,), center)[0])
 
 
 @dataclass(frozen=True)
@@ -72,8 +70,8 @@ class Deployment:
     @classmethod
     def from_points(cls, points: Iterable[GeoPoint], area: SearchArea) -> "Deployment":
         """Build a deployment, deriving every detection radius from `area.center`."""
-        uavs = tuple(UavPosition.place(p, area.center) for p in points)
-        return cls(uavs, area)
+        points = tuple(points)
+        return cls(tuple(map(UavPosition, points, _radii_m(points, area.center))), area)
 
     @classmethod
     def from_coords(cls, coords_km: np.ndarray, area: SearchArea) -> "Deployment":

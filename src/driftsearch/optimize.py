@@ -20,6 +20,7 @@ BLX alpha, mutation rate, PSO weights, SA schedule); GA always crosses over.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +49,11 @@ SA_STEP_FRACTION = 0.1
 FITNESS_UNIT_M = 100.0
 
 
+def is_int(value) -> bool:
+    """The integer rule of every config: any numbers.Integral (numpy's too) except bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     algorithm: str
@@ -58,6 +64,9 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
+        for name in ("n_uavs", "budget_evals", "seed"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.n_uavs < 1 or self.budget_evals < 1:
             raise ValueError("n_uavs and budget_evals must be >= 1")
         if self.algorithm in ("ga", "pso") and self.budget_evals < POP_SIZE:

@@ -33,13 +33,6 @@ class SearchArea:
 
 
 @dataclass(frozen=True)
-class Particle:
-    """One hypothesized drifter endpoint."""
-
-    position: GeoPoint
-
-
-@dataclass(frozen=True)
 class CandidateLine:
     """Straight candidate trajectory from the accident point to a particle."""
 
@@ -52,7 +45,7 @@ class CandidateLine:
 class Scenario:
     accident: GeoPoint
     area: SearchArea
-    particles: tuple[Particle, ...]
+    particles: tuple[GeoPoint, ...]  # hypothesized drifter endpoints
     lines: tuple[CandidateLine, ...]
     sigma_km: float
 
@@ -70,7 +63,7 @@ class Scenario:
             "center": {"lat": self.area.center.lat, "lon": self.area.center.lon},
             "radius_km": self.area.radius_km,
             "sigma_km": self.sigma_km,
-            "particles": [{"lat": p.position.lat, "lon": p.position.lon} for p in self.particles],
+            "particles": [{"lat": p.lat, "lon": p.lon} for p in self.particles],
         }
         return json.dumps(doc, indent=2)
 
@@ -83,7 +76,7 @@ class Scenario:
             raise ValueError(f"particles must be a list, got {doc['particles']!r}")
         accident = _point(doc["accident"], "accident")
         area = SearchArea(_point(doc["center"], "center"), _number(doc["radius_km"], "radius_km"))
-        particles = tuple(Particle(_point(p, f"particles[{i}]")) for i, p in enumerate(doc["particles"]))
+        particles = tuple(_point(p, f"particles[{i}]") for i, p in enumerate(doc["particles"]))
         return cls(accident, area, particles, _lines(accident, particles), _number(doc["sigma_km"], "sigma_km"))
 
 
@@ -114,12 +107,12 @@ def _point(obj, name: str) -> GeoPoint:
         raise ValueError(f"{name}: {exc}") from None
 
 
-def _lines(start: GeoPoint, particles: tuple[Particle, ...]) -> tuple[CandidateLine, ...]:
+def _lines(start: GeoPoint, particles: tuple[GeoPoint, ...]) -> tuple[CandidateLine, ...]:
     """One candidate line from `start` to each particle, measured in one call."""
-    lat = np.array([p.position.lat for p in particles])
-    lon = np.array([p.position.lon for p in particles])
+    lat = np.array([p.lat for p in particles])
+    lon = np.array([p.lon for p in particles])
     lengths = haversine_km_arrays(start.lat, start.lon, lat, lon).tolist()
-    return tuple(CandidateLine(start, p.position, d) for p, d in zip(particles, lengths))
+    return tuple(CandidateLine(start, p, d) for p, d in zip(particles, lengths))
 
 
 def build_search_area(forecast: Forecast) -> SearchArea:
@@ -128,7 +121,7 @@ def build_search_area(forecast: Forecast) -> SearchArea:
     return SearchArea(center=forecast.predicted, radius_km=radius)
 
 
-def sample_particles(forecast: Forecast, k: int, seed: int = 0) -> list[Particle]:
+def sample_particles(forecast: Forecast, k: int, seed: int = 0) -> list[GeoPoint]:
     """Draw k particles from an isotropic Gaussian around the prediction.
 
     Sigma is stated in kilometers (:data:`SIGMA_MULTIPLIER` times the
@@ -141,7 +134,7 @@ def sample_particles(forecast: Forecast, k: int, seed: int = 0) -> list[Particle
     rng = np.random.default_rng(seed)
     offsets = rng.normal(0.0, sigma_km, size=(k, 2)) if sigma_km > 0 else np.zeros((k, 2))
     lats, lons = local_to_latlon(offsets[:, 0], offsets[:, 1], forecast.predicted)
-    return [Particle(GeoPoint(float(lat), float(lon))) for lat, lon in zip(lats, lons)]
+    return [GeoPoint(float(lat), float(lon)) for lat, lon in zip(lats, lons)]
 
 
 def build_scenario(track: DrifterTrack, spec: AccidentSpec, forecast: Forecast, k: int, seed: int) -> Scenario:

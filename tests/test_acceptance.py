@@ -17,10 +17,10 @@ from driftsearch.evaluate import monte_carlo_chain, survival_chain
 from driftsearch.forecast import PredictorSpec, benchmark_predictors
 from driftsearch.geo import GeoPoint, haversine_km_arrays, local_to_latlon
 from driftsearch.ingest import DrifterRecord, DrifterTrack, _SYNTH_EPOCH
-from driftsearch.model import Deployment, detection_pod, detection_radius_m
+from driftsearch.model import Deployment, UavPosition, detection_pod
 from driftsearch.optimize import FitnessEvaluator, OptimizerConfig, initialize, run
 from driftsearch.repair import repair
-from driftsearch.scenario import CandidateLine, Particle, Scenario, SearchArea
+from driftsearch.scenario import CandidateLine, Scenario, SearchArea
 from driftsearch.experiment import default_spec, format_row, run_cell, run_experiment
 
 CENTER = GeoPoint(34.0, 127.0)
@@ -60,10 +60,10 @@ def test_criterion_02_dynamic_radius_law():
     # Pure-north displacements are haversine-exact, so the law's endpoints
     # can be probed without projection error.
     for d_km, expected in ((0.0, 600.0), (1.0, 400.0), (2.0, 200.0)):
-        r = detection_radius_m(offset(d_km * 1000.0), CENTER)
+        r = UavPosition.place(offset(d_km * 1000.0), CENTER).detection_radius_m
         assert r == pytest.approx(expected, abs=1e-6)
     for d_km in (3.01, 5.0, 25.0):
-        assert detection_radius_m(offset(d_km * 1000.0), CENTER) == 200.0
+        assert UavPosition.place(offset(d_km * 1000.0), CENTER).detection_radius_m == 200.0
 
 
 def test_criterion_03_pod_bounds():
@@ -141,7 +141,7 @@ def test_criterion_06_brute_force_fitness_optimum():
     accident = offset(0.0, -2500.0)
     endpoint = offset(0.0, 1500.0)
     line = CandidateLine(accident, endpoint, float(haversine_km_arrays(accident.lat, accident.lon, endpoint.lat, endpoint.lon)))
-    scen = Scenario(accident, area, (Particle(endpoint),), (line,), 1.0)
+    scen = Scenario(accident, area, (endpoint,), (line,), 1.0)
 
     ev = FitnessEvaluator(scen, unit_m=100.0)
     lattice = np.linspace(-2.0, 2.0, 50)

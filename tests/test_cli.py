@@ -1,14 +1,18 @@
 """End-to-end CLI coverage via main(argv)."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import driftsearch
+from driftsearch import geo
 from driftsearch.cli import main
 from driftsearch.geo import GeoPoint
 from driftsearch.ingest import save_tracks, synthesize_track
@@ -82,6 +86,46 @@ def test_experiment_with_failed_cells_exits_nonzero(tracks_csv, tmp_path, capsys
     assert rc == 1
     assert "4 of 4 cells failed" in capsys.readouterr().err
     assert (out / "results.csv").read_text().splitlines()[1:] == []
+
+
+def test_no_distance_call_is_zero_d(tmp_path, monkeypatch, capsys):
+    # numpy runs 0-d inputs through its scalar loop, which can differ from the
+    # array loops in the last bit; so every distance the package takes is >= 1-d.
+    shapes = []
+
+    def traced(*args):
+        out = kernel(*args)
+        shapes.append(np.shape(out))
+        return out
+
+    kernel = geo.haversine_km_arrays
+    for info in pkgutil.iter_modules(driftsearch.__path__):
+        module = importlib.import_module(f"driftsearch.{info.name}")
+        if hasattr(module, "haversine_km_arrays"):
+            monkeypatch.setattr(module, "haversine_km_arrays", traced)
+    csv = tmp_path / "track.csv"
+    save_tracks([synthesize_track(seed=21, hours=14, start=GeoPoint(34.0, 127.0), drift_kmh=0.5, turn_sigma=0.3)], csv)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"budget_evals": 60}))
+    track = ["--tracks", str(csv), "--predictor", "linear"]
+    assert main(["predict"]) == 0
+    assert main(["plan", *track, "--uavs", "4", "--particles", "6", "--out", str(tmp_path / "plan")]) == 0
+    exp = ["experiment", *track, "--config", str(config), "--algo", "ga", "--uavs", "4", "--particles", "6", "--seed", "0"]
+    assert main([*exp, "--maps", "--out", str(tmp_path / "exp")]) == 0
+    assert len(list((tmp_path / "exp" / "maps").iterdir())) == 1
+    assert shapes and [s for s in shapes if s == ()] == []
+
+
+def test_experiment_duplicate_grid_value_exits_1_before_any_cell(tmp_path):
+    out = tmp_path / "exp-out"
+    env = {**os.environ, "PYTHONPATH": str(Path(driftsearch.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "driftsearch.cli", "experiment", "--uavs", "6", "6", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "ValueError: uav_counts repeats [6]" in proc.stderr
+    assert not (out / "results.csv").exists()
 
 
 def test_experiment_config_unknown_key_rejected(tmp_path):

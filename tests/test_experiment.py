@@ -121,6 +121,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             replace(default_spec(), **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seeds", (0, 0)),
+            ("uav_counts", (6, np.int64(6))),
+            ("algorithms", ("ga", "sa", "ga")),
+            ("particle_counts", (10, 15, 10)),
+            ("instances", tuple(replace(instance, name="I-1") for instance in synthetic_instances(2))),
+        ],
+    )
+    def test_duplicate_grid_values_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} repeats"):
+            replace(default_spec(), **{field: value})
+
     def test_numpy_integers_accepted(self):
         spec = replace(default_spec(), seeds=(np.int64(0),), uav_counts=(np.int32(6),), budget_evals=np.int64(60))
         assert spec.seeds == (0,) and spec.budget_evals == 60
@@ -237,9 +251,8 @@ class TestRunCell:
                 lon = fc.predicted.lon if anchor == 13 else track.position(anchor).lon
                 delta = side - lon + offset
             moved_fc, moved_scen = random_scenario(shifted(track, delta))
-            for point, moved in [(fc.predicted, moved_fc.predicted), (scen.accident, moved_scen.accident)] + [
-                (p.position, q.position) for p, q in zip(scen.particles, moved_scen.particles)
-            ]:
+            pairs = [(fc.predicted, moved_fc.predicted), (scen.accident, moved_scen.accident)]
+            for point, moved in pairs + list(zip(scen.particles, moved_scen.particles)):
                 assert haversine_km_arrays(moved.lat, moved.lon, point.lat, point.lon + delta) < 1e-6
             assert moved_fc.prev_step_error_km == pytest.approx(fc.prev_step_error_km, rel=1e-9)
             assert moved_scen.area.radius_km == pytest.approx(scen.area.radius_km, rel=1e-9)

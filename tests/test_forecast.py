@@ -146,7 +146,6 @@ class TestForecastScenario:
         truth = t.position(6 + 5)
         expected = haversine_km_arrays(preds[4].lat, preds[4].lon, truth.lat, truth.lon)
         assert fc.prev_step_error_km == pytest.approx(expected)
-        assert fc.history_used == 7
 
     def test_one_step_horizon_error_zero(self):
         t = linear_track()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from driftsearch.geo import (
     EARTH_RADIUS_KM,
@@ -167,6 +168,28 @@ class TestHaversineArraysBitForBit:
         assert haversine_km_arrays(lat1[0], lon1[0], lat2[0], lon2[0]) == seed_haversine_km(
             lat1[0], lon1[0], lat2[0], lon2[0]
         )
+
+
+class TestHaversineBatching:
+    """With every input at least 1-d, a pair's distance has the same bits however it is batched."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 60), step=st.integers(1, 7))
+    def test_same_bits_under_any_split_stride_or_broadcast(self, data, n, step):
+        lat = hnp.arrays(np.float64, n, elements=st.floats(-90.0, 90.0))
+        lon = hnp.arrays(np.float64, n, elements=st.floats(-1e300, 1e300))  # no inf in the difference
+        lat1, lon1, lat2, lon2 = coords = [data.draw(lat), data.draw(lon), data.draw(lat), data.draw(lon)]
+        whole = haversine_km_arrays(*coords)
+        cuts = data.draw(st.lists(st.integers(1, n - 1), unique=True).map(sorted)) if n > 1 else []
+        blocks = [haversine_km_arrays(*(c[lo:hi] for c in coords)) for lo, hi in zip([0, *cuts], [*cuts, n])]
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        assert haversine_km_arrays(*(c[::step] for c in coords)).tobytes() == whole[::step].tobytes()
+        # Repair's (n, 1) x (n,) broadcast: row i is first point i against all second points.
+        grid = haversine_km_arrays(lat1[:, None], lon1[:, None], lat2, lon2)
+        for i in range(n):
+            row = haversine_km_arrays(np.full(n, lat1[i]), np.full(n, lon1[i]), lat2, lon2)
+            assert grid[i].tobytes() == row.tobytes()
+        assert np.diagonal(grid).tobytes() == whole.tobytes()
 
 
 class TestMidpointIndex:

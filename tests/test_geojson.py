@@ -17,7 +17,7 @@ from driftsearch.scenario import build_scenario
 def plan():
     track = synthesize_track(seed=12, hours=14, start=GeoPoint(34.0, 127.0), drift_kmh=0.5, turn_sigma=0.3)
     spec = AccidentSpec(track.id, 6, 6)
-    fc = Forecast(track.position(9), 0.7, 7)
+    fc = Forecast(track.position(9), 0.7)
     scen = build_scenario(track, spec, fc, k=6, seed=1)
     result = run(scen, OptimizerConfig("ga", n_uavs=4, budget_evals=150, seed=0))
     report = coverage(result.best, track, 6, 12, EvaluationConfig(unit_m=5.0))

@@ -1,9 +1,12 @@
 """Detection radius law, PoD, and deployment containers."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftsearch.geo import GeoPoint, haversine_km_arrays, local_to_latlon
 from driftsearch.model import (
@@ -12,7 +15,6 @@ from driftsearch.model import (
     Deployment,
     UavPosition,
     detection_pod,
-    detection_radius_m,
     radius_law,
 )
 from driftsearch.scenario import SearchArea
@@ -29,6 +31,10 @@ def at_distance_km(d_km: float, angle: float = 0.3) -> GeoPoint:
     return at(d_km * math.cos(angle), d_km * math.sin(angle))
 
 
+def placed_radius_m(p: GeoPoint) -> float:
+    return UavPosition.place(p, CENTER).detection_radius_m
+
+
 class TestRadiusLaw:
     def test_vectorized_matches_the_clipped_line(self):
         d_km = np.array([0.0, 0.25, 1.0, 1.999, 2.0, 2.001, 5.0, 1e6])
@@ -36,27 +42,29 @@ class TestRadiusLaw:
         assert np.array_equal(radius_law(d_km), expected)
 
     def test_scalar_radius_uses_the_law(self):
+        # One UAV's radius is the law on a 1-element distance array, never a 0-d call.
         p = at_distance_km(0.7)
-        assert detection_radius_m(p, CENTER) == radius_law(haversine_km_arrays(p.lat, p.lon, CENTER.lat, CENTER.lon))
+        (expected,) = radius_law(haversine_km_arrays([p.lat], [p.lon], CENTER.lat, CENTER.lon)).tolist()
+        assert placed_radius_m(p) == expected
 
 
 class TestDetectionRadius:
     def test_at_center(self):
-        assert detection_radius_m(CENTER, CENTER) == MAX_DETECTION_RADIUS_M
+        assert placed_radius_m(CENTER) == MAX_DETECTION_RADIUS_M
 
     @pytest.mark.parametrize("d_km,expected", [(0.5, 500.0), (1.0, 400.0), (1.5, 300.0), (2.0, 200.0)])
     def test_linear_region(self, d_km, expected):
         # Placement goes through the tangent plane, so allow a few cm of
         # projection error on the underlying distance.
-        assert detection_radius_m(at_distance_km(d_km), CENTER) == pytest.approx(expected, abs=0.05)
+        assert placed_radius_m(at_distance_km(d_km)) == pytest.approx(expected, abs=0.05)
 
     @pytest.mark.parametrize("d_km", [2.5, 3.0, 10.0, 40.0])
     def test_clamped_far_out(self, d_km):
-        assert detection_radius_m(at_distance_km(d_km), CENTER) == MIN_DETECTION_RADIUS_M
+        assert placed_radius_m(at_distance_km(d_km)) == MIN_DETECTION_RADIUS_M
 
     def test_bounds_always_hold(self):
         for d_km in (0.0, 0.01, 1.99, 2.01, 7.3):
-            r = detection_radius_m(at_distance_km(d_km), CENTER)
+            r = placed_radius_m(at_distance_km(d_km))
             assert MIN_DETECTION_RADIUS_M <= r <= MAX_DETECTION_RADIUS_M
 
 
@@ -80,7 +88,17 @@ class TestUavPosition:
     def test_place_derives_radius(self):
         uav = UavPosition.place(at_distance_km(1.0), CENTER)
         assert uav.detection_radius_m == pytest.approx(400.0, abs=0.01)
-        assert uav.pod == pytest.approx(detection_pod(uav.detection_radius_m))
+        assert type(uav.detection_radius_m) is float
+        # A classmethod, so callers (and wrappers of it) reach it through the class.
+        assert isinstance(inspect.getattr_static(UavPosition, "place"), classmethod)
+
+    @settings(max_examples=100, deadline=None)
+    @given(offsets=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)), min_size=1, max_size=12))
+    def test_place_equals_its_radius_in_a_larger_deployment(self, offsets):
+        # One UAV placed alone gets the same bits as in one call over the whole set.
+        points = [at(e, n) for e, n in offsets]
+        dep = Deployment.from_points(points, SearchArea(CENTER, 6.0))
+        assert [UavPosition.place(p, CENTER) for p in points] == list(dep.uavs)
 
 
 class TestDeployment:

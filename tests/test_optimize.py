@@ -27,13 +27,13 @@ from driftsearch.optimize import (
     run_ga,
     run_random,
 )
-from driftsearch.scenario import Particle, Scenario, SearchArea, _lines, build_scenario
+from driftsearch.scenario import Scenario, SearchArea, _lines, build_scenario
 
 
 def small_scenario(k=8, seed=3, error_km=0.6):
     track = synthesize_track(seed=12, hours=14, start=GeoPoint(34.0, 127.0), drift_kmh=0.5, turn_sigma=0.3)
     spec = AccidentSpec(track.id, 6, 6)
-    fc = Forecast(track.position(9), error_km, 7)
+    fc = Forecast(track.position(9), error_km)
     return build_scenario(track, spec, fc, k=k, seed=seed)
 
 
@@ -58,6 +58,18 @@ class TestConfig:
             OptimizerConfig("random", 0)
         with pytest.raises(ValueError):
             OptimizerConfig("random", 6, budget_evals=0)
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [("n_uavs", {"n_uavs": True}), ("budget_evals", {"budget_evals": 50.5}), ("seed", {"seed": True})],
+    )
+    def test_wrongly_typed_fields_rejected_by_name(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
+            OptimizerConfig(**{"algorithm": "random", "n_uavs": 6, "budget_evals": 50, **kwargs})
+
+    def test_numpy_integers_accepted(self):
+        config = OptimizerConfig("random", np.int64(6), budget_evals=np.int32(50), seed=np.int64(3))
+        assert config.n_uavs == 6
 
     def test_fitness_value_range(self):
         with pytest.raises(ValueError):
@@ -323,7 +335,7 @@ def dense_detected(ev: FitnessEvaluator, coords_km: np.ndarray) -> int:
 def fan_scenario(center: GeoPoint, ends_km, accident_km=(0.5, -0.8), radius_km=3.0) -> Scenario:
     """Candidate lines from one accident point to particles at local offsets (km)."""
     accident = at(center, *accident_km)
-    particles = tuple(Particle(at(center, e, n)) for e, n in ends_km)
+    particles = tuple(at(center, e, n) for e, n in ends_km)
     return Scenario(accident, SearchArea(center, radius_km), particles, _lines(accident, particles), 1.0)
 
 

@@ -23,58 +23,58 @@ PRED = GeoPoint(34.0, 127.0)
 
 class TestBuildSearchArea:
     def test_radius_is_multiplier_times_error(self):
-        area = build_search_area(Forecast(PRED, 0.9, 7))
+        area = build_search_area(Forecast(PRED, 0.9))
         assert area.center == PRED
         assert area.radius_km == pytest.approx(3.6)
 
     def test_floor_applies_for_tiny_error(self):
-        area = build_search_area(Forecast(PRED, 0.01, 7))
+        area = build_search_area(Forecast(PRED, 0.01))
         assert area.radius_km == RADIUS_FLOOR_KM
 
 
 class TestSampleParticles:
     def test_deterministic(self):
-        fc = Forecast(PRED, 0.8, 7)
+        fc = Forecast(PRED, 0.8)
         a = sample_particles(fc, 10, seed=42)
         b = sample_particles(fc, 10, seed=42)
-        assert [p.position for p in a] == [p.position for p in b]
+        assert a == b
 
     def test_seed_changes_draw(self):
-        fc = Forecast(PRED, 0.8, 7)
+        fc = Forecast(PRED, 0.8)
         a = sample_particles(fc, 10, seed=42)
         b = sample_particles(fc, 10, seed=43)
-        assert [p.position for p in a] != [p.position for p in b]
+        assert a != b
 
     def test_count(self):
-        assert len(sample_particles(Forecast(PRED, 0.5, 7), 15, seed=0)) == 15
+        assert len(sample_particles(Forecast(PRED, 0.5), 15, seed=0)) == 15
 
     def test_spread_matches_sigma(self):
         # Large-sample standard deviation of the offsets should approach
         # sigma = SIGMA_MULTIPLIER * prev_step_error.
-        fc = Forecast(PRED, 0.75, 7)
+        fc = Forecast(PRED, 0.75)
         particles = sample_particles(fc, 4000, seed=1)
         offsets = np.column_stack(
-            latlon_to_local([p.position.lat for p in particles], [p.position.lon for p in particles], PRED)
+            latlon_to_local([p.lat for p in particles], [p.lon for p in particles], PRED)
         )
         sigma = 4.0 * 0.75
         assert abs(offsets.mean()) < 0.1
         assert offsets.std() == pytest.approx(sigma, rel=0.05)
 
     def test_zero_error_collapses_to_prediction(self):
-        particles = sample_particles(Forecast(PRED, 0.0, 7), 5, seed=0)
+        particles = sample_particles(Forecast(PRED, 0.0), 5, seed=0)
         for p in particles:
-            assert haversine_km_arrays(p.position.lat, p.position.lon, PRED.lat, PRED.lon) == pytest.approx(0.0, abs=1e-9)
+            assert haversine_km_arrays(p.lat, p.lon, PRED.lat, PRED.lon) == pytest.approx(0.0, abs=1e-9)
 
     def test_k_positive(self):
         with pytest.raises(ValueError):
-            sample_particles(Forecast(PRED, 0.5, 7), 0)
+            sample_particles(Forecast(PRED, 0.5), 0)
 
 
 class TestBuildScenario:
     def make(self, k=10, seed=3):
         track = synthesize_track(seed=8, hours=14, start=GeoPoint(34.0, 127.0), drift_kmh=0.5, turn_sigma=0.3)
         spec = AccidentSpec(track.id, 6, 6)
-        fc = Forecast(track.position(9), 0.6, 7)
+        fc = Forecast(track.position(9), 0.6)
         return track, spec, build_scenario(track, spec, fc, k=k, seed=seed)
 
     def test_one_line_per_particle(self):
@@ -87,9 +87,8 @@ class TestBuildScenario:
         accident = track.position(spec.accident_index)
         for line, particle in zip(scen.lines, scen.particles):
             assert line.start == accident
-            assert line.end == particle.position
-            end = particle.position
-            assert line.length_km == pytest.approx(haversine_km_arrays(accident.lat, accident.lon, end.lat, end.lon))
+            assert line.end == particle
+            assert line.length_km == pytest.approx(haversine_km_arrays(accident.lat, accident.lon, particle.lat, particle.lon))
 
     def test_sigma_recorded(self):
         _, _, scen = self.make()
@@ -102,8 +101,8 @@ class TestBuildScenario:
         assert restored.sigma_km == pytest.approx(scen.sigma_km)
         assert len(restored.lines) == len(scen.lines)
         for a, b in zip(restored.particles, scen.particles):
-            assert a.position.lat == pytest.approx(b.position.lat)
-            assert a.position.lon == pytest.approx(b.position.lon)
+            assert a.lat == pytest.approx(b.lat)
+            assert a.lon == pytest.approx(b.lon)
 
     def test_empty_particles_rejected(self):
         _, _, scen = self.make()
